@@ -20,7 +20,7 @@ from .entanglement import (
     renyi_negativity,
     upper_bounds,
 )
-from .exactnum import LogReal, binomial, log_sum, multinomial, q_int
+from .exactnum import LogReal, binomial, q_int
 
 __all__ = [
     "CommutantSpec",
@@ -41,8 +41,6 @@ __all__ = [
     "upper_bounds",
     "LogReal",
     "binomial",
-    "log_sum",
-    "multinomial",
     "q_int",
 ]
 

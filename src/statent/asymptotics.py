@@ -9,13 +9,12 @@ as brackets, never as point estimates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .commutants import Family
-from .exactnum import DomainError, LogReal, tl_q
+from .exactnum import DomainError, tl_q
 
 SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
 
@@ -153,18 +152,6 @@ def predicted_law(family: Family, N: int, quantity: str, n: float | None = None)
                 return ScalingLaw("linear", tl_linear_coefficient(N, n), None, kind="lower_bound")
             return ScalingLaw("log", 1.5 / (n - 2.0), None, kind="upper_bound")
     raise Unsupported(f"no law for family={family.value}, N={N}, quantity={quantity}")
-
-
-def binomial_asymptote(n: int, k_offset: int) -> LogReal:
-    """log of the Gaussian approximation C(2n, n+k) ~ 2^(2n)/sqrt(pi n) e^(-k^2/n).
-
-    Intended for n >= 64; smaller n is computed anyway but flagged with a
-    warning since the relative log-error guarantee only holds in regime.
-    """
-    if n < 64:
-        warnings.warn(f"binomial_asymptote outside its regime (n={n} < 64)", stacklevel=2)
-    val = 2 * n * math.log(2.0) - 0.5 * math.log(math.pi * n) - k_offset**2 / n
-    return LogReal(val, 1)
 
 
 _BASES = {

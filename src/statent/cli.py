@@ -16,8 +16,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class RunConfig:
     max_sweeps: int = 1_000_000
     dim_cap: int = oracle.DEFAULT_DIM_CAP
     log2: bool = False
-    jobs: int = 1
     timing: bool = False
 
     def to_json(self) -> str:
@@ -277,13 +275,8 @@ def cmd_scan(cfg: RunConfig) -> int:
             rows.append((spec.L, "sop", rep.S_OP))
         return rows
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(one, specs))
-    else:
-        chunks = [one(sp) for sp in specs]
     s = _scale(cfg)
-    rows = sorted((L, q, v) for chunk in chunks for L, q, v in chunk)
+    rows = sorted((L, q, v) for sp in specs for L, q, v in one(sp))
     table = [[L, q, _fmt(v * s)] for L, q, v in rows]
     _emit(cfg, _csv_text(["L", "quantity", "value"], table))
     return EXIT_OK
@@ -488,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dim-cap", dest="dim_cap", type=int)
         sp.add_argument("--log2", action="store_const", const=True,
                         help="display in bits instead of nats")
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--timing", action="store_const", const=True,
                         help="include wall_time_s in JSON output")
     return p
@@ -503,6 +495,9 @@ def build_config(argv) -> RunConfig:
         with open(path) as fh:
             base = json.load(fh)
     base.pop("subcommand", None)
+    unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise Inadmissible(f"unknown config key(s): {', '.join(unknown)}")
     for k, v in args.items():
         if v is not None:
             base[k] = v

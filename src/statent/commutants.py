@@ -6,9 +6,13 @@ bond-algebra dimensions D_lambda^(L_A), D_dual^(L_B).  This module enumerates
 that data exactly (Python ints) for
 
   U1   -- magnetization sectors on a spin-1/2 chain,
-  SUN  -- Schur-Weyl sectors (partitions) on an N-state chain; N=2 is SU(2),
+  SUN  -- Schur-Weyl sectors (partitions) on an N-state chain,
   PF   -- pair-flip dot-pattern sectors (classical fragmentation),
   TL   -- Temperley-Lieb / Read-Saleur sectors (quantum fragmentation),
+
+SU(2) is TL(2): its spins lambda carry ballot-number dimensions and the
+degeneracy [2 lambda + 1]_q at q = 1, so it runs on the TL code path
+(CommutantSpec.ballot).  SU(N >= 3) keeps the partition formulas.
 
 plus log-domain arrays of the same data for chains far beyond exact reach.
 """
@@ -73,6 +77,11 @@ class CommutantSpec:
     @property
     def L_min(self) -> int:
         return min(self.L_A, self.L_B)
+
+    @property
+    def ballot(self) -> bool:
+        """Spin sectors with ballot-number dimensions: TL(N), and SU(2) = TL(2)."""
+        return self.family == Family.TL or (self.family == Family.SUN and self.N == 2)
 
     @staticmethod
     def half_chain(family: Family, N: int, L: int) -> "CommutantSpec":
@@ -163,12 +172,10 @@ def _superfactorial(N: int) -> int:
     return out
 
 
-def sun_irrep_dims(N: int, ell: int, lam: tuple[int, ...]) -> tuple[int, int]:
-    """(d_lambda, D_lambda^(ell)) for the SU(N) partition lam of ell.
+def sun_weyl_dim(N: int, lam: tuple[int, ...]) -> int:
+    """Weyl dimension d_lambda = prod_{i<j}(lam~_i - lam~_j) / sf(N).
 
-    Both follow from the shifted parts lam~_i = lam_i + N - i:
-      d = prod_{i<j}(lam~_i - lam~_j) / sf(N)
-      D = ell! / prod lam~_i!  *  prod_{i<j}(lam~_i - lam~_j)
+    lam~_i = lam_i + N - i are the shifted parts of the partition lam.
     """
     tl = [lam[i] + N - 1 - i for i in range(N)]
     vand = 1
@@ -178,11 +185,20 @@ def sun_irrep_dims(N: int, ell: int, lam: tuple[int, ...]) -> tuple[int, int]:
     d, rem = divmod(vand, _superfactorial(N))
     if rem:
         raise ArithmeticError("Weyl dimension did not divide exactly")
-    num = factorial(ell) * vand
+    return d
+
+
+def sun_irrep_dims(N: int, ell: int, lam: tuple[int, ...]) -> tuple[int, int]:
+    """(d_lambda, D_lambda^(ell)) for the SU(N) partition lam of ell.
+
+    D = ell! / prod lam~_i!  *  prod_{i<j}(lam~_i - lam~_j), where the
+    Vandermonde product is d * sf(N) (see sun_weyl_dim).
+    """
+    d = sun_weyl_dim(N, lam)
     den = 1
-    for t in tl:
-        den *= factorial(t)
-    D, rem = divmod(num, den)
+    for i in range(N):
+        den *= factorial(lam[i] + N - 1 - i)
+    D, rem = divmod(factorial(ell) * d * _superfactorial(N), den)
     if rem:
         raise ArithmeticError("S_L dimension did not divide exactly")
     return d, D
@@ -293,7 +309,16 @@ def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
     check_admissible(spec)
     f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
 
-    if f == Family.U1:
+    if spec.ballot:
+        for lam in range(spec.L_min // 2 + 1):
+            yield IrrepRecord(
+                label=lam,
+                d=q_int_exact(2 * lam + 1, N),
+                D_A=su2_sector_dim(L_A, lam),
+                D_B=su2_sector_dim(L_B, lam),
+                dual_label=lam,
+            )
+    elif f == Family.U1:
         # sector M on A pairs with -M on B; enumerate via the down-spin count
         for kA in range(L_A + 1):
             kB = L // 2 - kA  # enforces M_A + M_B = 0
@@ -308,33 +333,12 @@ def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
                 dual_label=-M,
             )
     elif f == Family.SUN:
-        if N == 2:
-            # SU(2): integer total-spin labels and the ballot-number shortcut
-            # (identical to the partition formulas via J = (lam1 - lam2)/2)
-            for lam in range(spec.L_min // 2 + 1):
-                yield IrrepRecord(
-                    label=lam,
-                    d=2 * lam + 1,
-                    D_A=su2_sector_dim(L_A, lam),
-                    D_B=su2_sector_dim(L_B, lam),
-                    dual_label=lam,
-                )
-            return
         cap = L // N
         for lam in sun_partitions(L_A, N, cap):
             dual = sun_dual(N, L, lam)
             d, D_A = sun_irrep_dims(N, L_A, lam)
             _, D_B = sun_irrep_dims(N, L_B, dual)
             yield IrrepRecord(label=lam, d=d, D_A=D_A, D_B=D_B, dual_label=dual)
-    elif f == Family.TL:
-        for lam in range(spec.L_min // 2 + 1):
-            yield IrrepRecord(
-                label=lam,
-                d=q_int_exact(2 * lam + 1, N),
-                D_A=su2_sector_dim(L_A, lam),
-                D_B=su2_sector_dim(L_B, lam),
-                dual_label=lam,
-            )
     elif f == Family.PF:
         for M in range(0, spec.L_min + 1, 2):
             yield IrrepRecord(
@@ -356,13 +360,11 @@ def enumerate_sectors(spec: CommutantSpec) -> list[IrrepRecord]:
 
 def estimate_sector_count(spec: CommutantSpec) -> int:
     """Cheap upper estimate of len(enumerate_sectors(spec))."""
-    if spec.family in (Family.U1,):
+    if spec.family == Family.U1:
         return spec.L_min + 1
-    if spec.family in (Family.TL,):
+    if spec.ballot or spec.family == Family.PF:
         return spec.L_min // 2 + 1
-    if spec.family == Family.PF:
-        return spec.L_min // 2 + 1
-    # SU(N): partitions of L_A into <= N parts
+    # SU(N >= 3): partitions of L_A into <= N parts
     n, k = spec.L_A, spec.N
     est = 1
     for i in range(1, k):
@@ -413,53 +415,34 @@ def log_singlet_dimension(spec: CommutantSpec) -> float:
     raise Inadmissible(f"unknown family {f}")  # pragma: no cover
 
 
-def commutant_dimension(spec: CommutantSpec, side: str = "min") -> LogReal:
-    """dim C(ell) = sum over ALL irreps on the sub-chain of count * d^2.
+def commutant_dimension(spec: CommutantSpec) -> LogReal:
+    """dim C(L_min) = sum over ALL irreps on the smaller half of count * d^2.
 
-    side selects ell: "A", "B" or "min".  This runs over every irrep
-    admissible on that length alone (not the bipartite-paired list), which
-    is what the entanglement upper bounds need.
+    This runs over every irrep admissible on that length alone (not the
+    bipartite-paired list), which is what the entanglement upper bounds need.
     """
     check_admissible(spec)
-    ell = {"A": spec.L_A, "B": spec.L_B, "min": spec.L_min}[side]
-    f, N = spec.family, spec.N
-    if f == Family.U1:
-        return LogReal.from_int(ell + 1)
-    if f == Family.PF:
-        total = sum(pf_pattern_count(N, M) for M in range(0, ell + 1, 2))
-        if ell % 2:  # odd sub-chain: odd-length patterns instead
-            total = sum(pf_pattern_count(N, M) for M in range(1, ell + 1, 2))
-        return LogReal.from_int(total)
-    if f == Family.TL:
-        if ell % 2:
-            raise Inadmissible("TL commutant dimension needs an even sub-chain")
+    ell, f, N = spec.L_min, spec.family, spec.N
+    if spec.ballot:
         total = sum(q_int_exact(2 * lam + 1, N) ** 2 for lam in range(ell // 2 + 1))
-        return LogReal.from_int(total)
-    if f == Family.SUN:
-        if ell % N:
-            raise Inadmissible(f"SU({N}) commutant dimension needs ell = 0 mod N")
-        total = 0
-        for lam in sun_partitions(ell, N, ell):
-            d, _ = sun_irrep_dims(N, ell, lam)
-            total += d * d
-        return LogReal.from_int(total)
-    raise Inadmissible(f"unknown family {f}")  # pragma: no cover
+    elif f == Family.U1:
+        total = ell + 1
+    elif f == Family.PF:
+        total = sum(pf_pattern_count(N, M) for M in range(0, ell + 1, 2))
+    else:
+        total = sum(sun_weyl_dim(N, lam) ** 2 for lam in sun_partitions(ell, N, ell))
+    return LogReal.from_int(total)
 
 
-def max_log_degeneracy(spec: CommutantSpec, side: str = "min") -> float:
-    """log of the largest irrep degeneracy of the commutant on the sub-chain."""
+def max_log_degeneracy(spec: CommutantSpec) -> float:
+    """log of the largest irrep degeneracy of the commutant on the smaller half."""
     check_admissible(spec)
-    ell = {"A": spec.L_A, "B": spec.L_B, "min": spec.L_min}[side]
-    f, N = spec.family, spec.N
+    ell, f, N = spec.L_min, spec.family, spec.N
+    if spec.ballot:
+        return log_q_int(2 * (ell // 2) + 1, tl_q(N))
     if f in (Family.U1, Family.PF):
         return 0.0
-    if f == Family.TL:
-        return log_q_int(2 * (ell // 2) + 1, tl_q(N))
-    best = 0.0
-    for lam in sun_partitions(ell, N, ell):
-        d, _ = sun_irrep_dims(N, ell, lam)
-        best = max(best, exact_log(d))
-    return best
+    return exact_log(max(sun_weyl_dim(N, lam) for lam in sun_partitions(ell, N, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +479,7 @@ def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
         lgB = _lg(L_B + 1) - _lg(kB + 1) - _lg(L_B - kB + 1)
         z = np.zeros_like(lgA)
         return LogSectors(z, z, lgA, lgB)
-    if f == Family.TL:
+    if spec.ballot:
         lam = np.arange(spec.L_min // 2 + 1)
         q = tl_q(N)
         if q == 1.0:
@@ -520,11 +503,6 @@ def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
         )
         return LogSectors(log_pc, np.zeros_like(log_pc), dimsA[M], dimsB[M])
     if f == Family.SUN:
-        if N == 2:
-            lam = np.arange(spec.L_min // 2 + 1)
-            lgA = _log_ballot(L_A, lam)
-            lgB = _log_ballot(L_B, lam)
-            return LogSectors(np.zeros_like(lgA), np.log(2 * lam + 1.0), lgA, lgB)
         if estimate_sector_count(spec) > SECTOR_ENUM_CAP:
             raise TooManySectors(
                 f"~{estimate_sector_count(spec):.0f} SU({N}) partitions at L={L}; "

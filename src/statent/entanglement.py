@@ -1,24 +1,29 @@
 """Closed-form entanglement of the singlet-subspace stationary state.
 
-Everything here is a function of the sector data (pattern_count, d, D_A, D_B)
-and the singlet dimension D_0:
+The stationary state is block diagonal over the sectors lambda.  Sector
+lambda has weight p_lambda = pc D_A D_B / D_0 (pc its pattern count, D_A and
+D_B the bond dimensions on either side of the cut, D_0 the singlet
+dimension) and degeneracy d_lambda.  Every negativity is one moment of that
+distribution, M(k) = E_p[d^k] = (1/D_0) sum_lambda pc D_A D_B d^k:
 
-  E_N    = log( (1/D0) sum_l pc d D_A D_B )
-  R_n    = -log( (1/D0) sum_l pc D_A D_B / d^(n-1) )       (odd n; R_n = R_{n-1} even)
-  Rt_n   = 1/(2-n) log( (1/D0) sum_l pc D_A D_B / d^(n-2) ) (n != 2)
-  S_OP   = -sum_l pc (D_A D_B / D0) log( D_A D_B / (D0 d^2) )
+  E_N    = log M(1)
+  R_n    = -log M(1 - n)              (odd n; R_n = R_{n-1} for even n)
+  Rt_n   = log M(2 - n) / (2 - n)     (real n > 0, n != 2; Rt_1 = E_N)
+  S_OP   = -sum_lambda p_lambda log( p_lambda / (pc d^2) )
 
-In exact mode the sums are accumulated as exact integers/rationals and only
-the final log is floating point, so the Abelian cases come out at exactly 0.
-The log backend (numpy arrays) covers chains up to L ~ 10^6.
+Each backend evaluates M(k) in one place.  The exact backend sums integers
+(k >= 0) or exact ratios (k < 0) and takes one final float log, so the
+Abelian families (all d = 1, M = 1) come out at exactly 0.0.  The log
+backend (numpy arrays) covers chains up to L ~ 10^6.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,61 +57,105 @@ class NAtTwo(ValueError):
     """The generalized Renyi negativity is undefined at n = 2."""
 
 
-def log_negativity(sectors: Sequence[IrrepRecord], D0: int) -> float:
-    """E_N in nats; exactly 0.0 whenever all degeneracies are 1."""
-    if not sectors:
-        raise EmptySectorList("no sectors")
-    num = sum(r.pattern_count * r.d * r.D_A * r.D_B for r in sectors)
-    if num == D0:
-        return 0.0
-    return exact_log(Fraction(num, D0))
+LogMoment = Callable[[float], float]  # k -> log M(k)
 
 
-def renyi_negativity(sectors: Sequence[IrrepRecord], D0: int, n: int) -> float:
-    """R_n in nats for integer n >= 1 (even n via R_n = R_{n-1})."""
+def _once_per_k(log_moment: LogMoment) -> LogMoment:
+    """Memoize on float(k), so R_3's k = -2 and Rt_4's k = -2.0 share one sum."""
+    cached = functools.cache(log_moment)
+    return lambda k: cached(float(k))
+
+
+# ---------------------------------------------------------------------------
+# the sector moment, once per backend
+# ---------------------------------------------------------------------------
+
+def _exact_moments(sectors: Sequence[IrrepRecord], D0: int) -> LogMoment:
+    """k -> log M(k) over exact sector rows, each k evaluated once.
+
+    Integer k is summed exactly and M(k) == 1 gives exactly 0.0; any other k
+    goes through a float log-sum.
+    """
     if not sectors:
         raise EmptySectorList("no sectors")
+
+    def log_moment(k: float) -> float:
+        if not float(k).is_integer():
+            logs = [
+                math.log(r.pattern_count) + exact_log(r.D_A) + exact_log(r.D_B)
+                + k * exact_log(r.d)
+                for r in sectors
+            ]
+            m = max(logs)
+            return m + math.log(math.fsum(math.exp(x - m) for x in logs)) - exact_log(D0)
+        k = int(k)
+        if k >= 0:
+            s = Fraction(sum(r.pattern_count * r.D_A * r.D_B * r.d**k for r in sectors), D0)
+        else:
+            s = sum_ratio_terms([(r.pattern_count * r.D_A * r.D_B, r.d**-k) for r in sectors]) / D0
+        return 0.0 if s == 1 else exact_log(s)
+
+    return _once_per_k(log_moment)
+
+
+def _log_moments(ls: LogSectors) -> LogMoment:
+    """k -> log M(k) over log-domain sector arrays, each k evaluated once."""
+    base, log_D0 = ls.log_pc + ls.log_DA + ls.log_DB, ls.log_D0
+
+    def log_moment(k: float) -> float:
+        return _lse(base + k * ls.log_d) - log_D0
+
+    return _once_per_k(log_moment)
+
+
+def _lse(x: np.ndarray) -> float:
+    m = float(np.max(x))
+    if m == float("-inf"):
+        return m
+    return m + math.log(float(np.sum(np.exp(x - m))))
+
+
+def _over(log_m: float, c: float, exact: bool) -> float:
+    # exact sums that reach M(k) == 1 read +0.0 at every order; the log
+    # backend keeps the plain quotient
+    return 0.0 if exact and log_m == 0.0 else log_m / c
+
+
+def _renyi(log_moment: LogMoment, n: int, exact: bool) -> float:
     if n < 1:
         raise ValueError(f"Renyi index must be >= 1, got {n}")
     if n % 2 == 0:
         n = n - 1
     if n == 1:
         return 0.0
-    terms = [
-        (r.pattern_count * r.D_A * r.D_B, r.d ** (n - 1)) for r in sectors
-    ]
-    s = sum_ratio_terms(terms) / D0
-    if s == 1:
-        return 0.0
-    return -exact_log(s)
+    return _over(log_moment(1 - n), -1.0, exact)
 
 
-def generalized_renyi(sectors: Sequence[IrrepRecord], D0: int, n: float) -> float:
-    """Rt_n in nats for real n > 0, n != 2; equals E_N at n = 1."""
-    if not sectors:
-        raise EmptySectorList("no sectors")
+def _rtilde(log_moment: LogMoment, n: float, exact: bool) -> float:
     if abs(n - 2.0) < N_NEAR_TWO:
         raise NAtTwo(f"generalized Renyi negativity undefined at n = 2 (got {n})")
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
-    if float(n).is_integer():
-        m = int(round(n))
-        terms = [
-            (r.pattern_count * r.D_A * r.D_B * r.d ** max(2 - m, 0), r.d ** max(m - 2, 0))
-            for r in sectors
-        ]
-        s = sum_ratio_terms(terms) / D0
-        if s == 1:
-            return 0.0
-        return exact_log(s) / (2.0 - m)
-    logs = [
-        math.log(r.pattern_count) + exact_log(r.D_A) + exact_log(r.D_B)
-        - (n - 2.0) * exact_log(r.d)
-        for r in sectors
-    ]
-    m = max(logs)
-    lse = m + math.log(math.fsum(math.exp(x - m) for x in logs))
-    return (lse - exact_log(D0)) / (2.0 - n)
+    return _over(log_moment(2 - n), 2.0 - n, exact)
+
+
+# ---------------------------------------------------------------------------
+# exact backend
+# ---------------------------------------------------------------------------
+
+def log_negativity(sectors: Sequence[IrrepRecord], D0: int) -> float:
+    """E_N in nats; exactly 0.0 whenever all degeneracies are 1."""
+    return _exact_moments(sectors, D0)(1)
+
+
+def renyi_negativity(sectors: Sequence[IrrepRecord], D0: int, n: int) -> float:
+    """R_n in nats for integer n >= 1 (even n via R_n = R_{n-1})."""
+    return _renyi(_exact_moments(sectors, D0), n, exact=True)
+
+
+def generalized_renyi(sectors: Sequence[IrrepRecord], D0: int, n: float) -> float:
+    """Rt_n in nats for real n > 0, n != 2; equals E_N at n = 1."""
+    return _rtilde(_exact_moments(sectors, D0), n, exact=True)
 
 
 def operator_space_entanglement(sectors: Sequence[IrrepRecord], D0: int) -> float:
@@ -130,38 +179,21 @@ def operator_space_entanglement(sectors: Sequence[IrrepRecord], D0: int) -> floa
 # ---------------------------------------------------------------------------
 
 def log_negativity_logdomain(ls: LogSectors) -> float:
-    return _lse(ls.log_pc + ls.log_d + ls.log_DA + ls.log_DB) - ls.log_D0
+    return _log_moments(ls)(1)
 
 
 def renyi_negativity_logdomain(ls: LogSectors, n: int) -> float:
-    if n < 1:
-        raise ValueError(f"Renyi index must be >= 1, got {n}")
-    if n % 2 == 0:
-        n = n - 1
-    if n == 1:
-        return 0.0
-    s = _lse(ls.log_pc + ls.log_DA + ls.log_DB - (n - 1) * ls.log_d)
-    return -(s - ls.log_D0)
+    return _renyi(_log_moments(ls), n, exact=False)
 
 
 def generalized_renyi_logdomain(ls: LogSectors, n: float) -> float:
-    if abs(n - 2.0) < N_NEAR_TWO:
-        raise NAtTwo(f"generalized Renyi negativity undefined at n = 2 (got {n})")
-    s = _lse(ls.log_pc + ls.log_DA + ls.log_DB - (n - 2.0) * ls.log_d)
-    return (s - ls.log_D0) / (2.0 - n)
+    return _rtilde(_log_moments(ls), n, exact=False)
 
 
 def operator_space_entanglement_logdomain(ls: LogSectors) -> float:
     logw = ls.log_DA + ls.log_DB - ls.log_D0  # one pattern's weight
     w = np.exp(ls.log_pc + logw)
     return float(-np.sum(w * (logw - 2.0 * ls.log_d)))
-
-
-def _lse(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if m == float("-inf"):
-        return m
-    return m + math.log(float(np.sum(np.exp(x - m))))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +229,9 @@ class Bounds:
 
 
 def upper_bounds(spec: CommutantSpec) -> Bounds:
-    check_admissible(spec)
-    dim_c = commutant_dimension(spec, "min")
     return Bounds(
-        log_dim_c_min=dim_c.log_value(),
-        log_max_d=max_log_degeneracy(spec, "min"),
+        log_dim_c_min=commutant_dimension(spec).log_value(),
+        log_max_d=max_log_degeneracy(spec),
     )
 
 
@@ -235,32 +265,25 @@ def compute_report(
     backend: str = "auto",
 ) -> EntanglementReport:
     check_admissible(spec)
-    mode = pick_backend(spec, backend)
-    if mode == "exact":
-        sectors = enumerate_sectors(spec)
-        D0 = singlet_dimension(spec)
-        en = log_negativity(sectors, D0)
-        r = {n: renyi_negativity(sectors, D0, n) for n in renyi_orders}
-        rt = {n: generalized_renyi(sectors, D0, n) for n in rtilde_orders}
+    exact = pick_backend(spec, backend) == "exact"
+    if exact:
+        sectors, D0 = enumerate_sectors(spec), singlet_dimension(spec)
+        log_moment = _exact_moments(sectors, D0)
         sop = operator_space_entanglement(sectors, D0)
-        mode_name = "exact"
     else:
         ls = sector_log_arrays(spec)
-        en = log_negativity_logdomain(ls)
-        r = {n: renyi_negativity_logdomain(ls, n) for n in renyi_orders}
-        rt = {n: generalized_renyi_logdomain(ls, n) for n in rtilde_orders}
+        log_moment = _log_moments(ls)
         sop = operator_space_entanglement_logdomain(ls)
-        mode_name = "log_domain"
     bounds = upper_bounds(spec)
     return EntanglementReport(
         spec=spec,
-        E_N=en,
-        R=dict(r),
-        R_tilde=dict(rt),
+        E_N=log_moment(1),
+        R={n: _renyi(log_moment, n, exact) for n in renyi_orders},
+        R_tilde={n: _rtilde(log_moment, n, exact) for n in rtilde_orders},
         S_OP=sop,
-        dim_C_min=commutant_dimension(spec, "min"),
+        dim_C_min=LogReal(bounds.log_dim_c_min),
         bounds=bounds,
-        mode=mode_name,
+        mode="exact" if exact else "log_domain",
         rtilde_bounds={n: bounds.rtilde(n) for n in rtilde_orders},
     )
 

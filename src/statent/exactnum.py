@@ -6,8 +6,8 @@ domain (large chains).  Counts are plain Python ints (arbitrary precision);
 this module adds the log-domain number type plus the handful of combinatorial
 primitives the sector enumerations need.
 
-Everything is a pure function of its arguments; the lru_cache memo tables are
-append-only and safe under concurrent readers.
+Everything is a pure function of its arguments.  The memo tables (the
+factorial cache and one growing q-integer list per N) are append-only.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-
-class SumMismatch(ValueError):
-    """Multinomial parts do not add up to n."""
+from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -34,20 +30,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Exact n! / prod(parts_i!) with sum(parts) == n enforced."""
-    if any(p < 0 for p in parts):
-        raise SumMismatch(f"negative part in {parts!r}")
-    if sum(parts) != n:
-        raise SumMismatch(f"sum({list(parts)}) = {sum(parts)} != n = {n}")
-    out = 1
-    rest = n
-    for p in parts:
-        out *= math.comb(rest, p)
-        rest -= p
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -91,20 +73,21 @@ def tl_q(N: int) -> float:
     return (N + math.sqrt(N * N - 4)) / 2.0
 
 
-@lru_cache(maxsize=None)
-def _q_int_table(N: int, top: int) -> tuple[int, ...]:
-    # [k+1] = N [k] - [k-1]; integers for integer N = q + 1/q.
-    vals = [0, 1]
-    for _ in range(top - 1):
-        vals.append(N * vals[-1] - vals[-2])
-    return tuple(vals)
+_Q_INT_TABLES: dict[int, list[int]] = {}
 
 
 def q_int_exact(n: int, N: int) -> int:
-    """Exact integer [n]_q for q + 1/q = N, via the Chebyshev recurrence."""
+    """Exact integer [n]_q for q + 1/q = N, via the Chebyshev recurrence.
+
+    [k+1] = N [k] - [k-1] gives integers for integer N; one table per N grows
+    to the largest n asked for, so memory stays linear in n.
+    """
     if n < 0:
         raise DomainError("q_int_exact needs n >= 0")
-    return _q_int_table(N, max(n, 1))[n]
+    vals = _Q_INT_TABLES.setdefault(N, [0, 1])
+    while len(vals) <= n:
+        vals.append(N * vals[-1] - vals[-2])
+    return vals[n]
 
 
 def exact_log(x: int | Fraction) -> float:
@@ -127,35 +110,18 @@ def exact_log(x: int | Fraction) -> float:
 class LogReal:
     """A real number stored as (sign, log|value|).
 
-    sign is +1, -1 or 0; log is -inf when sign == 0.  Products and
-    positive sums are exact in the log domain up to float rounding, which
-    keeps quantities like dim C(L) ~ e^L representable for L ~ 10^6.
+    sign is +1, -1 or 0; log is -inf when sign == 0.  Keeps quantities like
+    dim C(L) ~ e^L representable for L ~ 10^6.
     """
 
     log: float
     sign: int = 1
 
     @staticmethod
-    def zero() -> "LogReal":
-        return LogReal(float("-inf"), 0)
-
-    @staticmethod
     def from_int(n: int) -> "LogReal":
         if n == 0:
-            return LogReal.zero()
+            return LogReal(float("-inf"), 0)
         return LogReal(math.log(abs(n)), 1 if n > 0 else -1)
-
-    @staticmethod
-    def from_float(x: float) -> "LogReal":
-        if x == 0.0:
-            return LogReal.zero()
-        return LogReal(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @staticmethod
-    def from_fraction(x: Fraction) -> "LogReal":
-        if x == 0:
-            return LogReal.zero()
-        return LogReal(exact_log(abs(x)), 1 if x > 0 else -1)
 
     def to_float(self) -> float:
         if self.sign == 0:
@@ -167,65 +133,6 @@ class LogReal:
         if self.sign <= 0:
             raise ValueError("log of a non-positive LogReal")
         return self.log
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogReal.zero()
-        return LogReal(self.log + other.log, s)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.log - other.log, self.sign * other.sign)
-
-    def __pow__(self, p: float) -> "LogReal":
-        if self.sign == 0:
-            return LogReal.zero() if p > 0 else LogReal(0.0, 1)
-        if self.sign < 0:
-            raise ValueError("power of a negative LogReal")
-        return LogReal(self.log * p, 1)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log >= other.log else (other, self)
-        d = lo.log - hi.log  # <= 0
-        if self.sign == other.sign:
-            return LogReal(hi.log + math.log1p(math.exp(d)), hi.sign)
-        t = -math.expm1(d)  # 1 - e^d in (0, 1]
-        if t == 0.0:
-            return LogReal.zero()
-        return LogReal(hi.log + math.log(t), hi.sign)
-
-
-def log_sum(terms: Iterable[LogReal]) -> LogReal:
-    """Sum of positive LogReal terms with the usual max-shift stabilisation."""
-    items = list(terms)
-    if not items:
-        return LogReal.zero()
-    if any(t.sign < 0 for t in items):
-        raise ValueError("log_sum is defined for non-negative terms only")
-    items = [t for t in items if t.sign > 0]
-    if not items:
-        return LogReal.zero()
-    m = max(t.log for t in items)
-    acc = math.fsum(math.exp(t.log - m) for t in items)
-    return LogReal(m + math.log(acc), 1)
-
-
-def logsumexp_list(logs: Sequence[float]) -> float:
-    """Plain float log-sum-exp over a list (helper for the log backend)."""
-    if not logs:
-        return float("-inf")
-    m = max(logs)
-    if m == float("-inf"):
-        return m
-    return m + math.log(math.fsum(math.exp(x - m) for x in logs))
 
 
 def sum_ratio_terms(terms: Sequence[tuple[int, int]]) -> Fraction:

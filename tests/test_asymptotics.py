@@ -8,7 +8,6 @@ from statent.asymptotics import (
     ScalingLaw,
     TooFewPoints,
     Unsupported,
-    binomial_asymptote,
     fit_scaling,
     predicted_law,
     sun_r3_derivatives,
@@ -73,16 +72,6 @@ def test_tl_stationary_point_matches_numeric_maximum():
 def test_tl_sqrt_coefficient():
     q = tl_q(3)
     assert tl_sqrt_coefficient(3) == pytest.approx(math.sqrt(8 / math.pi) * math.log(q))
-
-
-def test_binomial_asymptote_accuracy():
-    exact = math.lgamma(1025) - 2 * math.lgamma(513)
-    approx = binomial_asymptote(512, 0).log_value()
-    assert abs(approx - exact) / abs(exact) <= 1e-2
-    d = binomial_asymptote(512, 0).log_value() - binomial_asymptote(512, 16).log_value()
-    assert d == pytest.approx(16**2 / 512, abs=1e-12)
-    with pytest.warns(UserWarning):
-        binomial_asymptote(8, 0)
 
 
 def test_fit_scaling_basics():

@@ -182,6 +182,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["spec"]["L"] == 12  # explicit flag wins
 
 
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    for key, value in (("colour", "red"), ("jobs", 2)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"family": "su2", "L": 8, key: value}))
+        code, out, err = run_cli(["compute", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and key in err
+
+
 def test_runconfig_roundtrip():
     cfg = RunConfig(subcommand="scan", family="tl", N=3, L_min=8, L_max=64,
                     geometric=True, quantities=["en", "r3"], seed=9)

@@ -11,6 +11,7 @@ from statent.commutants import (
     singlet_dimension,
 )
 from statent.entanglement import (
+    EXACT_L_THRESHOLD,
     EmptySectorList,
     NAtTwo,
     compute_report,
@@ -210,3 +211,27 @@ def test_compute_report_backends():
     big = compute_report(CommutantSpec(Family.TL, 3, 2048, 1024))
     assert big.mode == "log_domain"
     assert big.E_N > 100  # volume law well developed by L = 2048
+    # every field agrees across the backends at the default switch point
+    L = EXACT_L_THRESHOLD
+    for spec in [
+        CommutantSpec(Family.U1, 2, L, L // 2),
+        CommutantSpec(Family.SUN, 2, L, L // 2),
+        CommutantSpec(Family.TL, 3, L, L // 2),
+        CommutantSpec(Family.PF, 3, L, L // 2),
+        CommutantSpec(Family.SUN, 3, 96, 48),
+    ]:
+        rep_e = compute_report(spec, backend="exact")
+        rep_l = compute_report(spec, backend="log")
+        for name, have, want in [
+            ("E_N", rep_l.E_N, rep_e.E_N),
+            ("S_OP", rep_l.S_OP, rep_e.S_OP),
+            ("log_dim_C_min", rep_l.dim_C_min.log_value(), rep_e.dim_C_min.log_value()),
+            ("log_dim_c_min", rep_l.bounds.log_dim_c_min, rep_e.bounds.log_dim_c_min),
+            ("log_max_d", rep_l.bounds.log_max_d, rep_e.bounds.log_max_d),
+            *((f"R_{n}", rep_l.R[n], rep_e.R[n]) for n in rep_e.R),
+            *((f"Rt_{n}", rep_l.R_tilde[n], rep_e.R_tilde[n]) for n in rep_e.R_tilde),
+            *((f"Rt_bound_{n}", rep_l.rtilde_bounds[n], rep_e.rtilde_bounds[n])
+              for n in rep_e.rtilde_bounds),
+        ]:
+            assert have == pytest.approx(want, rel=1e-10), (spec, name)
+        assert rep_l.R.keys() == rep_e.R.keys() and rep_l.R_tilde.keys() == rep_e.R_tilde.keys()
