@@ -21,15 +21,15 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import asymptotics, oracle
-from .commutants import (
-    CommutantSpec,
-    Family,
-    Inadmissible,
-    TooManySectors,
-    check_admissible,
-)
+from .commutants import CommutantSpec, Family, Inadmissible, TooManySectors
 from .entanglement import NAtTwo, compute_report, sun_renyi3_half_chain
-from .su2cg import HaarEnsembleSpec, crossing_point, haar_average_negativity
+from .su2cg import (
+    HaarEnsembleSpec,
+    MultipleCrossings,
+    NoCrossing,
+    crossing_point,
+    haar_average_negativity,
+)
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -99,9 +99,7 @@ def make_spec(cfg: RunConfig, L: int) -> CommutantSpec:
     fam, forced_N = resolve_family(cfg.family)
     N = forced_N if forced_N is not None else cfg.N
     cut = cfg.cut if cfg.cut is not None else L // 2
-    spec = CommutantSpec(fam, N, L, cut)
-    check_admissible(spec)
-    return spec
+    return CommutantSpec(fam, N, L, cut)
 
 
 def _scale(cfg: RunConfig) -> float:
@@ -128,6 +126,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _order(tok: str, text, kind: type) -> float:
+    """The index of a quantity token: an int >= 1 for r<n>, a float > 0 for rt<n>."""
+    try:
+        n = kind(text)
+    except ValueError:
+        n = 0
+    if not (math.isfinite(n) and n > 0):
+        raise Inadmissible(f"bad quantity {tok!r}: need a positive {kind.__name__} index")
+    return n
+
+
 def _parse_quantities(cfg: RunConfig) -> tuple[bool, list[int], list[float], bool]:
     """-> (want_en, renyi orders, rtilde orders, want_sop)."""
     want_en = want_sop = False
@@ -140,11 +149,11 @@ def _parse_quantities(cfg: RunConfig) -> tuple[bool, list[int], list[float], boo
         elif t == "sop":
             want_sop = True
         elif t == "rtilde":
-            rtilde.extend(cfg.n_grid)
+            rtilde.extend(_order(f"rtilde n={n}", n, float) for n in cfg.n_grid)
         elif t.startswith("rt"):
-            rtilde.append(float(t[2:]))
+            rtilde.append(_order(tok, t[2:], float))
         elif t.startswith("r"):
-            renyi.append(int(t[1:]))
+            renyi.append(_order(tok, t[1:], int))
         else:
             raise Inadmissible(f"unknown quantity {tok!r}")
     return want_en, sorted(set(renyi)), sorted(set(rtilde)), want_sop
@@ -289,26 +298,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.L is None:
         raise Inadmissible("oracle needs --L")
     spec = make_spec(cfg, cfg.L)
-    from .commutants import enumerate_sectors, singlet_dimension
-    from .entanglement import (
-        generalized_renyi,
-        log_negativity,
-        operator_space_entanglement,
-        renyi_negativity,
-    )
-
     ks = oracle.build_kraus(spec.family, spec.N, spec.L, dim_cap=cfg.dim_cap)
     rho0 = oracle.singlet_product_state(spec.family, spec.N, spec.L)
     st = oracle.channel_fixed_point(ks, rho0, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
-    secs, D0 = enumerate_sectors(spec), singlet_dimension(spec)
+    rep = compute_report(spec, renyi_orders=(3, 4), rtilde_orders=(1.5,), backend="exact")
     cut = spec.L_A
-    closed = {
-        "en": log_negativity(secs, D0),
-        "r3": renyi_negativity(secs, D0, 3),
-        "r4": renyi_negativity(secs, D0, 4),
-        "rt1.5": generalized_renyi(secs, D0, 1.5),
-        "sop": operator_space_entanglement(secs, D0),
-    }
+    closed = {"en": rep.E_N, "r3": rep.R[3], "r4": rep.R[4], "rt1.5": rep.R_tilde[1.5],
+              "sop": rep.S_OP}
     dense = {
         "en": oracle.dense_log_negativity(st, cut),
         "r3": oracle.dense_renyi_negativity(st, cut, 3),
@@ -357,7 +353,7 @@ def cmd_haar(cfg: RunConfig) -> int:
         try:
             x = crossing_point(shared, cb, ca)
             cross_rows.append(["crossing", a, b, "", "", "", cfg.samples, cfg.seed, _fmt(x)])
-        except Exception as exc:  # no crossing on this grid: report, don't fail
+        except (NoCrossing, MultipleCrossings) as exc:  # report, don't fail
             cross_rows.append(["crossing", a, b, "", "", "", cfg.samples, cfg.seed,
                                f"error:{type(exc).__name__}"])
     header = ["row", "L", "L2", "lambda_frac", "mean", "stderr", "samples", "seed", "crossing"]
@@ -381,15 +377,9 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         for r in rows
     ]
     _emit(cfg, _csv_text(["sweep", "E_N", "R3", "S_OP", "defect"], table))
-    from .commutants import enumerate_sectors, singlet_dimension
-    from .entanglement import log_negativity
-
-    secs, D0 = enumerate_sectors(spec), singlet_dimension(spec)
-    print(
-        f"final E_N deviation from closed form: "
-        f"{abs(rows[-1]['E_N'] - log_negativity(secs, D0)):.3e}",
-        file=sys.stderr,
-    )
+    rep = compute_report(spec, renyi_orders=(), rtilde_orders=(), backend="exact")
+    print(f"final E_N deviation from closed form: {abs(rows[-1]['E_N'] - rep.E_N):.3e}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -397,42 +387,35 @@ def cmd_asymptote(cfg: RunConfig) -> int:
     fam, forced_N = resolve_family(cfg.family)
     N = forced_N if forced_N is not None else cfg.N
     want_en, renyi, rtilde, want_sop = _parse_quantities(cfg)
-    jobs: list[tuple[str, float | None]] = []
+    renyi = [3] if 3 in renyi else []  # R_3 is the only Renyi order with a law
+    jobs = []  # (row label, scaling law, the value read off a report)
     if want_en:
-        jobs.append(("en", None))
-    jobs.extend((f"r{n}", None) for n in renyi if n == 3)
-    jobs.extend(("rtilde", n) for n in rtilde)
+        jobs.append(("en", asymptotics.predicted_law(fam, N, "en"), lambda r: r.E_N))
+    if renyi:
+        jobs.append(("r3", asymptotics.predicted_law(fam, N, "r3"), lambda r: r.R[3]))
+    jobs.extend((f"rt{_fmt(n)}", asymptotics.predicted_law(fam, N, "rtilde", n=n),
+                 lambda r, n=n: r.R_tilde[n]) for n in rtilde)
     if want_sop:
-        jobs.append(("sop", None))
+        jobs.append(("sop", asymptotics.predicted_law(fam, N, "sop"), lambda r: r.S_OP))
     if not jobs:
         raise Inadmissible("asymptote needs at least one of en, r3, rtilde, sop")
 
     grid = _L_grid(cfg) if (cfg.L_min is not None or cfg.L_list) else \
         [2**k for k in range(6, 13)]
+    reports = []
+    for L in grid:
+        try:
+            spec = make_spec(cfg, L)
+        except Inadmissible:
+            continue
+        reports.append(compute_report(spec, renyi_orders=renyi, rtilde_orders=rtilde,
+                                      backend=cfg.backend))
+    if len(reports) < 4:
+        raise EmptyScan("fewer than 4 admissible scan points")
     rows = []
-    for qname, n in jobs:
-        base = "r3" if qname.startswith("r") and qname != "rtilde" else qname
-        law = asymptotics.predicted_law(fam, N, base if qname != "rtilde" else "rtilde", n=n)
-        pts = []
-        for L in grid:
-            try:
-                spec = make_spec(cfg, L)
-            except Inadmissible:
-                continue
-            rep = compute_report(
-                spec,
-                renyi_orders=[3] if base == "r3" else [],
-                rtilde_orders=[n] if n is not None else [],
-                backend=cfg.backend,
-            )
-            val = {"en": rep.E_N, "r3": rep.R.get(3), "sop": rep.S_OP}.get(base)
-            if n is not None:
-                val = rep.R_tilde[n]
-            pts.append((L, val))
-        if len(pts) < 4:
-            raise EmptyScan("fewer than 4 admissible scan points")
+    for label, law, value in jobs:
+        pts = [(rep.spec.L, value(rep)) for rep in reports]
         fit = asymptotics.fit_scaling(pts, law.form if law.form != "const" else "log")
-        label = qname if n is None else f"rt{_fmt(n)}"
         rows.append([
             label, law.form, law.kind,
             "" if law.coefficient is None else _fmt(law.coefficient),
@@ -525,7 +508,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(argv)
         return SUBCOMMANDS[cfg.subcommand](cfg)
-    except (Inadmissible, EmptyScan, NAtTwo) as exc:
+    except (Inadmissible, EmptyScan, NAtTwo, asymptotics.Unsupported) as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (oracle.TooLarge, TooManySectors) as exc:

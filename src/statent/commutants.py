@@ -70,6 +70,9 @@ class CommutantSpec:
     L: int
     L_A: int
 
+    def __post_init__(self) -> None:
+        check_admissible(self)
+
     @property
     def L_B(self) -> int:
         return self.L - self.L_A
@@ -102,12 +105,17 @@ class IrrepRecord:
     D_A: int
     D_B: int
     pattern_count: int = 1
-    dual_label: object = None
+
+    @property
+    def weight(self) -> int:
+        """pc D_A D_B: this record's share of the singlet dimension D_0."""
+        return self.pattern_count * self.D_A * self.D_B
 
 
 def check_admissible(spec: CommutantSpec) -> None:
     """Raise Inadmissible unless the singlet-pairing closed forms cover this spec.
 
+    Run by CommutantSpec on construction, so every spec in hand is admissible.
     The dual pairing across the cut only exists on the stated length grids
     (e.g. even halves for TL/PF, multiples of N for SU(N)); anything else is
     refused rather than extrapolated.
@@ -152,17 +160,6 @@ def su2_sector_dim(ell: int, lam: int) -> int:
         return 0
     k = ell // 2 + lam
     return binomial(ell, k) * (2 * lam + 1) // (ell // 2 + lam + 1)
-
-
-def log_su2_sector_dim(ell: int, lam: int) -> float:
-    k = ell // 2 + lam
-    return (
-        math.lgamma(ell + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(ell - k + 1)
-        + math.log(2 * lam + 1)
-        - math.log(ell // 2 + lam + 1)
-    )
 
 
 def _superfactorial(N: int) -> int:
@@ -306,7 +303,6 @@ def log_pf_sector_dims(N: int, L: int) -> tuple[float, ...]:
 
 def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
     """Stream IrrepRecords for all irreps admissible on both L_A and L_B."""
-    check_admissible(spec)
     f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
 
     if spec.ballot:
@@ -316,7 +312,6 @@ def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
                 d=q_int_exact(2 * lam + 1, N),
                 D_A=su2_sector_dim(L_A, lam),
                 D_B=su2_sector_dim(L_B, lam),
-                dual_label=lam,
             )
     elif f == Family.U1:
         # sector M on A pairs with -M on B; enumerate via the down-spin count
@@ -324,21 +319,18 @@ def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
             kB = L // 2 - kA  # enforces M_A + M_B = 0
             if kB < 0 or kB > L_B:
                 continue
-            M = Fraction(L_A, 2) - kA
             yield IrrepRecord(
-                label=M,
+                label=Fraction(L_A, 2) - kA,
                 d=1,
                 D_A=binomial(L_A, kA),
                 D_B=binomial(L_B, kB),
-                dual_label=-M,
             )
     elif f == Family.SUN:
         cap = L // N
         for lam in sun_partitions(L_A, N, cap):
-            dual = sun_dual(N, L, lam)
             d, D_A = sun_irrep_dims(N, L_A, lam)
-            _, D_B = sun_irrep_dims(N, L_B, dual)
-            yield IrrepRecord(label=lam, d=d, D_A=D_A, D_B=D_B, dual_label=dual)
+            _, D_B = sun_irrep_dims(N, L_B, sun_dual(N, L, lam))
+            yield IrrepRecord(label=lam, d=d, D_A=D_A, D_B=D_B)
     elif f == Family.PF:
         for M in range(0, spec.L_min + 1, 2):
             yield IrrepRecord(
@@ -347,7 +339,6 @@ def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
                 D_A=pf_sector_dimension(N, L_A, M),
                 D_B=pf_sector_dimension(N, L_B, M),
                 pattern_count=pf_pattern_count(N, M),
-                dual_label=M,  # the dual is the reversed pattern, same length
             )
     else:  # pragma: no cover
         raise Inadmissible(f"unknown family {f}")
@@ -375,44 +366,10 @@ def estimate_sector_count(spec: CommutantSpec) -> int:
 def singlet_dimension(spec: CommutantSpec) -> int:
     """Dimension D_0^(L) of the trivial (singlet) sector of the full chain.
 
-    Closed forms per family; equals sum_lambda pattern_count * D_A * D_B by
-    the bipartite completeness identity (tested exhaustively).
+    By bipartite completeness this is sum_lambda pc D_A D_B over the paired
+    sectors; the per-family closed forms are its test.
     """
-    check_admissible(spec)
-    f, N, L = spec.family, spec.N, spec.L
-    if f == Family.U1:
-        return binomial(L, L // 2)
-    if f == Family.SUN:
-        num = factorial(L) * _superfactorial(N)
-        den = 1
-        for i in range(N):
-            den *= factorial(L // N + i)
-        D0, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError("SU(N) singlet dimension did not divide")
-        return D0
-    if f == Family.TL:
-        return su2_sector_dim(L, 0)
-    if f == Family.PF:
-        return pf_sector_dimension(N, L, 0)
-    raise Inadmissible(f"unknown family {f}")  # pragma: no cover
-
-
-def log_singlet_dimension(spec: CommutantSpec) -> float:
-    check_admissible(spec)
-    f, N, L = spec.family, spec.N, spec.L
-    if f == Family.U1:
-        return math.lgamma(L + 1) - 2 * math.lgamma(L // 2 + 1)
-    if f == Family.SUN:
-        out = math.lgamma(L + 1) + math.log(_superfactorial(N))
-        for i in range(N):
-            out -= math.lgamma(L // N + i + 1)
-        return out
-    if f == Family.TL:
-        return log_su2_sector_dim(L, 0)
-    if f == Family.PF:
-        return log_pf_sector_dims(N, L)[0]
-    raise Inadmissible(f"unknown family {f}")  # pragma: no cover
+    return sum(r.weight for r in iter_sectors(spec))
 
 
 def commutant_dimension(spec: CommutantSpec) -> LogReal:
@@ -421,7 +378,6 @@ def commutant_dimension(spec: CommutantSpec) -> LogReal:
     This runs over every irrep admissible on that length alone (not the
     bipartite-paired list), which is what the entanglement upper bounds need.
     """
-    check_admissible(spec)
     ell, f, N = spec.L_min, spec.family, spec.N
     if spec.ballot:
         total = sum(q_int_exact(2 * lam + 1, N) ** 2 for lam in range(ell // 2 + 1))
@@ -436,7 +392,6 @@ def commutant_dimension(spec: CommutantSpec) -> LogReal:
 
 def max_log_degeneracy(spec: CommutantSpec) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
-    check_admissible(spec)
     ell, f, N = spec.L_min, spec.family, spec.N
     if spec.ballot:
         return log_q_int(2 * (ell // 2) + 1, tl_q(N))
@@ -460,14 +415,19 @@ class LogSectors:
 
     @property
     def log_D0(self) -> float:
-        s = self.log_pc + self.log_DA + self.log_DB
-        m = float(np.max(s))
-        return m + math.log(float(np.sum(np.exp(s - m))))
+        return _lse(self.log_pc + self.log_DA + self.log_DB)
+
+
+def _lse(x: np.ndarray) -> float:
+    """log sum exp(x), shifted by the maximum."""
+    m = float(np.max(x))
+    if m == float("-inf"):
+        return m
+    return m + math.log(float(np.sum(np.exp(x - m))))
 
 
 def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     """Log-domain analogue of enumerate_sectors (float64 arrays)."""
-    check_admissible(spec)
     f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
 
     if f == Family.U1:

@@ -29,17 +29,14 @@ import numpy as np
 
 from .commutants import (
     CommutantSpec,
-    Family,
     IrrepRecord,
     LogSectors,
-    check_admissible,
     commutant_dimension,
     enumerate_sectors,
     estimate_sector_count,
-    log_singlet_dimension,
     max_log_degeneracy,
     sector_log_arrays,
-    singlet_dimension,
+    _lse,
     _superfactorial,
 )
 from .exactnum import LogReal, exact_log, sum_ratio_terms
@@ -90,9 +87,9 @@ def _exact_moments(sectors: Sequence[IrrepRecord], D0: int) -> LogMoment:
             return m + math.log(math.fsum(math.exp(x - m) for x in logs)) - exact_log(D0)
         k = int(k)
         if k >= 0:
-            s = Fraction(sum(r.pattern_count * r.D_A * r.D_B * r.d**k for r in sectors), D0)
+            s = Fraction(sum(r.weight * r.d**k for r in sectors), D0)
         else:
-            s = sum_ratio_terms([(r.pattern_count * r.D_A * r.D_B, r.d**-k) for r in sectors]) / D0
+            s = sum_ratio_terms([(r.weight, r.d**-k) for r in sectors]) / D0
         return 0.0 if s == 1 else exact_log(s)
 
     return _once_per_k(log_moment)
@@ -106,13 +103,6 @@ def _log_moments(ls: LogSectors) -> LogMoment:
         return _lse(base + k * ls.log_d) - log_D0
 
     return _once_per_k(log_moment)
-
-
-def _lse(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if m == float("-inf"):
-        return m
-    return m + math.log(float(np.sum(np.exp(x - m))))
 
 
 def _over(log_m: float, c: float, exact: bool) -> float:
@@ -264,10 +254,10 @@ def compute_report(
     rtilde_orders: Sequence[float] = (0.5, 1.0, 1.5, 3.0, 4.0, 6.0),
     backend: str = "auto",
 ) -> EntanglementReport:
-    check_admissible(spec)
     exact = pick_backend(spec, backend) == "exact"
     if exact:
-        sectors, D0 = enumerate_sectors(spec), singlet_dimension(spec)
+        sectors = enumerate_sectors(spec)
+        D0 = sum(r.weight for r in sectors)  # = singlet_dimension(spec)
         log_moment = _exact_moments(sectors, D0)
         sop = operator_space_entanglement(sectors, D0)
     else:
@@ -351,5 +341,8 @@ def sun_renyi3_half_chain(N: int, L: int) -> float:
     lsf = math.log(_superfactorial(N))
     log_sum = 2 * math.lgamma(LA + 1) + 2 * lsf - N * math.lgamma(a + 1) \
         + N * shift + math.log(T)
-    log_D0 = log_singlet_dimension(CommutantSpec(Family.SUN, N, L, LA))
+    # D_0 = L! sf(N) / prod_i (L/N + i)!
+    log_D0 = math.lgamma(L + 1) + lsf
+    for i in range(N):
+        log_D0 -= math.lgamma(L // N + i + 1)
     return -(log_sum - log_D0)

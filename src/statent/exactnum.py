@@ -80,7 +80,10 @@ def q_int_exact(n: int, N: int) -> int:
     """Exact integer [n]_q for q + 1/q = N, via the Chebyshev recurrence.
 
     [k+1] = N [k] - [k-1] gives integers for integer N; one table per N grows
-    to the largest n asked for, so memory stays linear in n.
+    to the largest n asked for.  Entry k has about k log2(q) bits, so for
+    N > 2 the table holds Theta(n^2) bits: commutant_dimension of TL(3) at
+    L = 8192 / 32768 / 65536 builds it in 0.07 / 1.3 / 7.2 s and peaks at
+    1.7 / 25 / 101 MB (tracemalloc; one core of a 2-vCPU x86-64 host).
     """
     if n < 0:
         raise DomainError("q_int_exact needs n >= 0")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .commutants import CommutantSpec, Family, check_admissible
+from .commutants import CommutantSpec, Family
 
 DEFAULT_DIM_CAP = 6561  # N^L above this refuses to build dense operators
 
@@ -84,10 +85,22 @@ class KrausSet:
     def completeness_defect(self) -> float:
         return max(c.completeness_defect() for c in self.channels)
 
-    def operators(self):
+    @cached_property
+    def plan(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Superoperators in sweep order, with same-support neighbors composed.
+
+        The composition order within the sweep is fixed (bonds j = 1..L-1 in
+        construction order, then site channels); it matters because the local
+        channels do not commute.  Built on the first sweep, after the channels.
+        """
+        plan: list[tuple[tuple[int, ...], np.ndarray]] = []
         for ch in self.channels:
-            for k in ch.ops:
-                yield ch.sites, k
+            S = _channel_superop(ch)
+            if plan and plan[-1][0] == ch.sites:
+                plan[-1] = (ch.sites, S @ plan[-1][1])
+            else:
+                plan.append((ch.sites, S))
+        return plan
 
 
 def _swap(N: int) -> np.ndarray:
@@ -225,23 +238,6 @@ def _channel_superop(ch: LocalChannel) -> np.ndarray:
     return S
 
 
-def _sweep_plan(kraus: KrausSet) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Superoperators in sweep order, with same-support neighbors composed.
-
-    The composition order within the sweep is fixed (bonds j = 1..L-1 in
-    construction order, then site channels); it matters because the local
-    channels do not commute.
-    """
-    plan: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for ch in kraus.channels:
-        S = _channel_superop(ch)
-        if plan and plan[-1][0] == ch.sites:
-            plan[-1] = (ch.sites, S @ plan[-1][1])
-        else:
-            plan.append((ch.sites, S))
-    return plan
-
-
 def _apply_superop(rho: np.ndarray, sites: tuple[int, ...], S: np.ndarray,
                    N: int, L: int) -> np.ndarray:
     j = sites[0]
@@ -256,41 +252,39 @@ def _apply_superop(rho: np.ndarray, sites: tuple[int, ...], S: np.ndarray,
 
 
 def apply_sweep(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    """One full sweep of the composite channel (see _sweep_plan for order)."""
-    plan = getattr(kraus, "_plan", None)
-    if plan is None:
-        plan = _sweep_plan(kraus)
-        kraus._plan = plan
-    for sites, S in plan:
+    """One full sweep of the composite channel (see KrausSet.plan for order)."""
+    for sites, S in kraus.plan:
         rho = _apply_superop(rho, sites, S, kraus.N, kraus.L)
     return rho
 
 
-def channel_fixed_point(
+def _sweeps(
     kraus: KrausSet,
     rho0: DenseState,
-    tol: float = 1e-12,
-    max_sweeps: int = 1_000_000,
+    tol: float,
+    max_sweeps: int,
     stall_ratio: float = 0.9999,
     stall_window: int = 10_000,
-) -> DenseState:
-    """Iterate full sweeps until the Frobenius defect drops below tol.
+):
+    """Yield (sweep, rho, defect) after each full sweep, up to the first defect <= tol.
 
-    Aborts with NoConvergence if max_sweeps is exhausted or the defect decay
-    ratio stays above stall_ratio for a whole stall window (uniqueness of
-    the fixed point is guaranteed, a rate is not).
+    The defect is the Frobenius norm of the change over one sweep.  Raises
+    NoConvergence if max_sweeps is exhausted or the defect decay ratio stays
+    above stall_ratio for a whole stall window (uniqueness of the fixed point
+    is guaranteed, a rate is not).
     """
     rho = np.array(rho0.matrix)
     if np.iscomplexobj(rho) and np.max(np.abs(rho.imag)) == 0.0:
         rho = rho.real.copy()  # all Kraus sets here are real; halves the cost
-    prev_defect = None
+    prev_defect, defect = None, math.nan
     stalled = 0
     for sweep in range(1, max_sweeps + 1):
         nxt = apply_sweep(rho, kraus)
         defect = float(np.linalg.norm(nxt - rho))
         rho = nxt
+        yield sweep, rho, defect
         if defect <= tol:
-            return DenseState(rho, list(rho0.site_dims))
+            return
         if prev_defect is not None and prev_defect > 0:
             stalled = stalled + 1 if defect / prev_defect > stall_ratio else 0
             if stalled >= stall_window:
@@ -301,6 +295,20 @@ def channel_fixed_point(
     raise NoConvergence(f"no convergence within {max_sweeps} sweeps (defect {defect:.3e})")
 
 
+def channel_fixed_point(
+    kraus: KrausSet,
+    rho0: DenseState,
+    tol: float = 1e-12,
+    max_sweeps: int = 1_000_000,
+    stall_ratio: float = 0.9999,
+    stall_window: int = 10_000,
+) -> DenseState:
+    """Iterate full sweeps until the Frobenius defect drops below tol (see _sweeps)."""
+    for _, rho, _ in _sweeps(kraus, rho0, tol, max_sweeps, stall_ratio, stall_window):
+        pass
+    return DenseState(rho, list(rho0.site_dims))
+
+
 def iterate_with_trajectory(
     kraus: KrausSet,
     rho0: DenseState,
@@ -309,37 +317,21 @@ def iterate_with_trajectory(
     max_sweeps: int = 100_000,
 ) -> tuple[DenseState, list[dict]]:
     """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect)."""
-    rho = np.array(rho0.matrix)
-    rows = []
-    st = DenseState(rho, list(rho0.site_dims))
-    rows.append(
-        {
-            "sweep": 0,
+
+    def row(sweep: int, rho: np.ndarray, defect: float) -> dict:
+        st = DenseState(rho, list(rho0.site_dims))
+        return {
+            "sweep": sweep,
             "E_N": dense_log_negativity(st, cut),
             "R3": dense_renyi_negativity(st, cut, 3),
             "S_OP": dense_ose(st, cut),
-            "defect": float("nan"),
+            "defect": defect,
         }
-    )
-    for sweep in range(1, max_sweeps + 1):
-        nxt = apply_sweep(rho, kraus)
-        defect = float(np.linalg.norm(nxt - rho))
-        rho = nxt
-        st = DenseState(rho, list(rho0.site_dims))
-        rows.append(
-            {
-                "sweep": sweep,
-                "E_N": dense_log_negativity(st, cut),
-                "R3": dense_renyi_negativity(st, cut, 3),
-                "S_OP": dense_ose(st, cut),
-                "defect": defect,
-            }
-        )
-        if defect <= tol:
-            break
-    else:
-        raise NoConvergence(f"no convergence within {max_sweeps} sweeps")
-    return st, rows
+
+    rows = [row(0, np.array(rho0.matrix), float("nan"))]
+    for sweep, rho, defect in _sweeps(kraus, rho0, tol, max_sweeps):
+        rows.append(row(sweep, rho, defect))
+    return DenseState(rho, list(rho0.site_dims)), rows
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +401,6 @@ def _perm_sign(perm) -> float:
 
 def stationary_state(spec: CommutantSpec, tol: float = 1e-12) -> DenseState:
     """Fixed point reached from the singlet product state (= Pi^0 / D_0)."""
-    check_admissible(spec)
     kraus = build_kraus(spec.family, spec.N, spec.L)
     rho0 = singlet_product_state(spec.family, spec.N, spec.L)
     return channel_fixed_point(kraus, rho0, tol=tol)

@@ -42,6 +42,16 @@ def test_compute_inadmissible_exit_2(capsys):
     assert "inadmissible" in err
 
 
+@pytest.mark.parametrize("token", ["rx", "r0", "rt", "rt-1"])
+def test_malformed_quantity_exit_2(token, capsys):
+    code, out, err = run_cli(
+        ["compute", "--family", "su2", "--L", "8", "--quantities", token], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and token in err
+
+
 def test_compute_json_schema(capsys):
     if jsonschema is None:
         pytest.skip("jsonschema not installed")
@@ -147,6 +157,27 @@ def test_asymptote_su2(capsys):
     assert row[0] == "en" and row[1] == "log"
     assert float(row[3]) == 0.5
     assert abs(float(row[4]) - 0.5) <= 0.02
+
+
+def test_asymptote_rows_match_single_quantity_runs(capsys):
+    base = ["asymptote", "--family", "tl", "--N", "3"]
+    code, out, _ = run_cli(base + ["--quantities", "en,r3,rt0.5,sop"], capsys)
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 5
+    for q, row in zip(["en", "r3", "rt0.5", "sop"], rows[1:]):
+        code, single, _ = run_cli(base + ["--quantities", q], capsys)
+        assert code == 0
+        assert single.splitlines() == [rows[0], row]
+
+
+def test_asymptote_without_law_exit_2(capsys):
+    code, out, err = run_cli(
+        ["asymptote", "--family", "u1", "--quantities", "rt0.5"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no law" in err
 
 
 def test_scan_sun_fast_path_matches_generic(capsys):

@@ -13,7 +13,6 @@ from statent.commutants import (
     enumerate_sectors,
     iter_sectors,
     log_pf_sector_dims,
-    log_singlet_dimension,
     pf_pattern_count,
     pf_sector_dimension,
     sector_log_arrays,
@@ -23,6 +22,7 @@ from statent.commutants import (
     sun_partitions,
     check_admissible,
 )
+from statent.exactnum import factorial
 from statent.oracle import pf_pattern_census
 
 from conftest import spin_half_total_spin_squared
@@ -52,6 +52,13 @@ def test_sun_inadmissible_cut():
         check_admissible(CommutantSpec(Family.TL, 3, 6, 3))
     with pytest.raises(Inadmissible):
         check_admissible(CommutantSpec(Family.U1, 2, 7, 3))
+
+
+def test_spec_refuses_inadmissible_on_construction():
+    with pytest.raises(Inadmissible):
+        CommutantSpec(Family.TL, 3, 6, 3)
+    with pytest.raises(Inadmissible):
+        CommutantSpec(Family.SUN, 3, 7, 3)
 
 
 def test_sun3_L6_closed_form():
@@ -111,6 +118,25 @@ def test_pf_commutant_dimension_against_pattern_census():
     assert commutant_dimension(CommutantSpec(Family.PF, 3, 4, 2)).to_float() == pytest.approx(7.0)
 
 
+def closed_form_singlet_dimension(spec: CommutantSpec) -> int:
+    """D_0 per family: C(L, L/2), the SU(N) hook-length count, ballot, PF walk."""
+    f, N, L = spec.family, spec.N, spec.L
+    if f == Family.U1:
+        return math.comb(L, L // 2)
+    if f == Family.SUN:
+        num = factorial(L)
+        for k in range(1, N):
+            num *= factorial(k)
+        den = 1
+        for i in range(N):
+            den *= factorial(L // N + i)
+        assert num % den == 0
+        return num // den
+    if f == Family.TL:
+        return su2_sector_dim(L, 0)
+    return pf_sector_dimension(N, L, 0)
+
+
 def test_completeness_identity_all_families():
     cases = []
     for L in range(4, 41, 4):
@@ -124,7 +150,7 @@ def test_completeness_identity_all_families():
         cases.append(CommutantSpec(Family.SUN, 3, L, L // 2 if (L // 2) % 3 == 0 else 3))
     for spec in cases:
         total = sum(r.pattern_count * r.D_A * r.D_B for r in iter_sectors(spec))
-        assert total == singlet_dimension(spec), spec
+        assert total == singlet_dimension(spec) == closed_form_singlet_dimension(spec), spec
 
 
 def test_total_dimension_identity():
@@ -202,9 +228,6 @@ def test_log_arrays_match_exact():
             assert ls.log_d[i] == pytest.approx(math.log(r.d), abs=1e-10)
             assert ls.log_pc[i] == pytest.approx(math.log(r.pattern_count), abs=1e-10)
         assert ls.log_D0 == pytest.approx(math.log(singlet_dimension(spec)), rel=1e-12)
-        assert log_singlet_dimension(spec) == pytest.approx(
-            math.log(singlet_dimension(spec)), rel=1e-12
-        )
 
 
 def test_log_pf_dims_large_consistent():

@@ -56,17 +56,19 @@ def test_completeness_all_families():
 
 def test_kraus_hermitian():
     for fam, N, L in [(Family.SUN, 3, 3), (Family.TL, 3, 3), (Family.U1, 2, 3), (Family.PF, 3, 3)]:
-        for _, K in build_kraus(fam, N, L).operators():
-            assert np.allclose(K, K.conj().T)
+        for ch in build_kraus(fam, N, L).channels:
+            for K in ch.ops:
+                assert np.allclose(K, K.conj().T)
 
 
 def test_strong_symmetry_commutes():
     for fam, N, L in [(Family.U1, 2, 4), (Family.SUN, 3, 3), (Family.PF, 3, 4)]:
         ks = build_kraus(fam, N, L)
         for O in conserved_operators(fam, N, L):
-            for sites, K in ks.operators():
-                Kf = embed_local(K, sites, N, L)
-                assert np.max(np.abs(Kf @ O - O @ Kf)) <= 1e-12
+            for ch in ks.channels:
+                for K in ch.ops:
+                    Kf = embed_local(K, ch.sites, N, L)
+                    assert np.max(np.abs(Kf @ O - O @ Kf)) <= 1e-12
 
 
 def test_too_large():
