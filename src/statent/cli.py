@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -242,6 +242,10 @@ def _L_grid(cfg: RunConfig) -> list[int]:
         return [cfg.L]
     if cfg.L_min is None or cfg.L_max is None:
         raise Inadmissible("scan needs --L-min and --L-max (or --L-list)")
+    if cfg.geometric and cfg.L_min < 1:
+        raise Inadmissible(f"--geometric needs --L-min >= 1, got {cfg.L_min}")
+    if not cfg.geometric and cfg.L_step < 1:
+        raise Inadmissible(f"need --L-step >= 1, got {cfg.L_step}")
     out = []
     L = cfg.L_min
     while L <= cfg.L_max:
@@ -328,16 +332,18 @@ def cmd_haar(cfg: RunConfig) -> int:
     Ls = cfg.L_list or ([cfg.L] if cfg.L is not None else None)
     if not Ls:
         raise Inadmissible("haar needs --L or --L-list")
+    tops = [HaarEnsembleSpec(L=L, samples=cfg.samples, seed=cfg.seed,
+                             lambda_max=L // 2 if cfg.lambda_max is None else cfg.lambda_max)
+            for L in Ls]
+    for top in tops:
+        top.validate()
     point_rows = []
     curves: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for L in Ls:
-        if L % 4:
-            raise Inadmissible(f"haar ensemble needs L = 4n, got {L}")
-        lam_top = cfg.lambda_max if cfg.lambda_max is not None else L // 2
+    for top in tops:
+        L = top.L
         fs, ms = [], []
-        for lam in range(0, lam_top + 1):
-            spec = HaarEnsembleSpec(L=L, lambda_max=lam, samples=cfg.samples, seed=cfg.seed)
-            mean, stderr = haar_average_negativity(spec)
+        for lam in range(0, top.lambda_max + 1):
+            mean, stderr = haar_average_negativity(replace(top, lambda_max=lam))
             fs.append(lam / L)
             ms.append(mean)
             point_rows.append(
@@ -469,6 +475,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _numbers(key: str, text: str, kind: type) -> list:
+    """A comma-separated list of numbers; anything else is Inadmissible."""
+    try:
+        return [kind(x) for x in text.split(",") if x]
+    except ValueError:
+        raise Inadmissible(f"bad --{key.replace('_', '-')} {text!r}: need comma-separated "
+                           f"{kind.__name__}s") from None
+
+
 def build_config(argv) -> RunConfig:
     args = vars(_build_parser().parse_args(argv))
     sub = args.pop("subcommand")
@@ -484,11 +499,9 @@ def build_config(argv) -> RunConfig:
     for k, v in args.items():
         if v is not None:
             base[k] = v
-    for key in ("L_list",):
+    for key, kind in (("L_list", int), ("n_grid", float)):
         if isinstance(base.get(key), str):
-            base[key] = [int(x) for x in base[key].split(",") if x]
-    if isinstance(base.get("n_grid"), str):
-        base["n_grid"] = [float(x) for x in base["n_grid"].split(",") if x]
+            base[key] = _numbers(key, base[key], kind)
     if isinstance(base.get("quantities"), str):
         base["quantities"] = [x for x in base["quantities"].split(",") if x]
     return RunConfig(subcommand=sub, **base)

@@ -33,7 +33,6 @@ from .exactnum import (
     binomial,
     exact_log,
     factorial,
-    log_q_int,
     q_int_exact,
     tl_q,
 )
@@ -85,10 +84,6 @@ class CommutantSpec:
     def ballot(self) -> bool:
         """Spin sectors with ballot-number dimensions: TL(N), and SU(2) = TL(2)."""
         return self.family == Family.TL or (self.family == Family.SUN and self.N == 2)
-
-    @staticmethod
-    def half_chain(family: Family, N: int, L: int) -> "CommutantSpec":
-        return CommutantSpec(family, N, L, L // 2)
 
 
 @dataclass(frozen=True)
@@ -380,8 +375,8 @@ def commutant_dimension(spec: CommutantSpec) -> LogReal:
     """
     ell, f, N = spec.L_min, spec.family, spec.N
     if spec.ballot:
-        total = sum(q_int_exact(2 * lam + 1, N) ** 2 for lam in range(ell // 2 + 1))
-    elif f == Family.U1:
+        return LogReal(_lse(2 * _log_ballot_d(N, np.arange(ell // 2 + 1))))
+    if f == Family.U1:
         total = ell + 1
     elif f == Family.PF:
         total = sum(pf_pattern_count(N, M) for M in range(0, ell + 1, 2))
@@ -394,7 +389,7 @@ def max_log_degeneracy(spec: CommutantSpec) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
     ell, f, N = spec.L_min, spec.family, spec.N
     if spec.ballot:
-        return log_q_int(2 * (ell // 2) + 1, tl_q(N))
+        return float(_log_ballot_d(N, ell // 2))
     if f in (Family.U1, Family.PF):
         return 0.0
     return exact_log(max(sun_weyl_dim(N, lam) for lam in sun_partitions(ell, N, ell)))
@@ -441,19 +436,9 @@ def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
         return LogSectors(z, z, lgA, lgB)
     if spec.ballot:
         lam = np.arange(spec.L_min // 2 + 1)
-        q = tl_q(N)
-        if q == 1.0:
-            log_d = np.log(2 * lam + 1.0)
-        else:
-            n_arr = 2 * lam + 1
-            log_d = (
-                n_arr * math.log(q)
-                + np.log1p(-q ** (-2.0 * n_arr))
-                - math.log(q - 1.0 / q)
-            )
         lgA = _log_ballot(L_A, lam)
         lgB = _log_ballot(L_B, lam)
-        return LogSectors(np.zeros_like(lgA), log_d, lgA, lgB)
+        return LogSectors(np.zeros_like(lgA), _log_ballot_d(N, lam), lgA, lgB)
     if f == Family.PF:
         M = np.arange(0, spec.L_min + 1, 2)
         dimsA = np.asarray(log_pf_sector_dims(N, L_A))
@@ -492,6 +477,19 @@ def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
 def _lg(x) -> np.ndarray:
     v = np.vectorize(math.lgamma, otypes=[float])
     return v(x)
+
+
+def _log_ballot_d(N: int, lam: int | np.ndarray) -> np.ndarray:
+    """log [2 lam + 1]_q for q + 1/q = N: the ballot-sector degeneracy d_lam.
+
+    [n]_q = q^n (1 - q^-2n) / (q - 1/q), so no q^n is ever formed; q = 1
+    (SU(2)) is the plain log(2 lam + 1).
+    """
+    n = 2 * np.asarray(lam) + 1
+    q = tl_q(N)
+    if q == 1.0:
+        return np.log(n)
+    return n * math.log(q) + np.log1p(-q ** (-2.0 * n)) - math.log(q - 1.0 / q)
 
 
 def _log_ballot(ell: int, lam: np.ndarray) -> np.ndarray:

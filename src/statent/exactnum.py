@@ -4,7 +4,9 @@ Sector dimensions grow like N^L, so every formula in this package is evaluated
 either with exact integer/rational arithmetic (small chains) or in the log
 domain (large chains).  Counts are plain Python ints (arbitrary precision);
 this module adds the log-domain number type plus the handful of combinatorial
-primitives the sector enumerations need.
+primitives the sector enumerations need: binomials, exact q-integers for the
+exact sector rows, and ratio sums over one common denominator.  The log of a
+q-integer lives with the sector arrays (commutants._log_ballot_d).
 
 Everything is a pure function of its arguments.  The memo tables (the
 factorial cache and one growing q-integer list per N) are append-only.
@@ -50,16 +52,6 @@ def q_int(n: int, q: float) -> float:
     return (q**n - q**-n) / (q - 1.0 / q)
 
 
-def log_q_int(n: int, q: float) -> float:
-    """log [n]_q, stable for large n (avoids overflow of q^n)."""
-    if q < 1.0:
-        raise DomainError(f"log_q_int needs q >= 1, got q={q}")
-    if q == 1.0:
-        return math.log(n)
-    # [n]_q = q^n (1 - q^{-2n}) / (q - 1/q)
-    return n * math.log(q) + math.log1p(-q ** (-2 * n)) - math.log(q - 1.0 / q)
-
-
 def tl_q(N: int) -> float:
     """Deformation parameter q solving q + 1/q = N (q >= 1).
 
@@ -81,9 +73,9 @@ def q_int_exact(n: int, N: int) -> int:
 
     [k+1] = N [k] - [k-1] gives integers for integer N; one table per N grows
     to the largest n asked for.  Entry k has about k log2(q) bits, so for
-    N > 2 the table holds Theta(n^2) bits: commutant_dimension of TL(3) at
-    L = 8192 / 32768 / 65536 builds it in 0.07 / 1.3 / 7.2 s and peaks at
-    1.7 / 25 / 101 MB (tracemalloc; one core of a 2-vCPU x86-64 host).
+    N > 2 the table holds Theta(n^2) bits.  Only the exact sector rows
+    (iter_sectors) ask for it, with n <= L/2 + 1; the bounds and the log
+    backend use the closed-form log instead.
     """
     if n < 0:
         raise DomainError("q_int_exact needs n >= 0")
@@ -139,23 +131,11 @@ class LogReal:
 
 
 def sum_ratio_terms(terms: Sequence[tuple[int, int]]) -> Fraction:
-    """Sum of num_i/den_i as one exact Fraction.
+    """Sum of num_i/den_i as one reduced Fraction (0 for no terms).
 
-    Builds the common denominator with prefix/suffix products and reduces
-    once at the end; adding Fractions pairwise would re-run gcd on the
-    partially-built (huge, mostly coprime) denominators every step.
+    Every term is scaled onto the lcm of the denominators, which stays small
+    when they share factors (powers of the sector degeneracies d do), so one
+    integer sum and one reduction give the result.
     """
-    k = len(terms)
-    if k == 0:
-        return Fraction(0)
-    if k == 1:
-        return Fraction(terms[0][0], terms[0][1])
-    dens = [d for _, d in terms]
-    prefix = [1] * (k + 1)
-    for i, d in enumerate(dens):
-        prefix[i + 1] = prefix[i] * d
-    suffix = [1] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * dens[i]
-    num = sum(terms[i][0] * prefix[i] * suffix[i + 1] for i in range(k))
-    return Fraction(num, prefix[k])
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)

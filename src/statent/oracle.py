@@ -27,6 +27,11 @@ DEFAULT_DIM_CAP = 6561  # N^L above this refuses to build dense operators
 # smallest physical PT eigenvalue 1/(D0 max d) at any dense-reachable size.
 EIG_FLOOR = 1e-10
 
+# The fixed-point iteration gives up when the defect shrinks by less than
+# STALL_RATIO per sweep for STALL_WINDOW sweeps in a row.
+STALL_RATIO = 0.9999
+STALL_WINDOW = 10_000
+
 
 class TooLarge(ValueError):
     pass
@@ -258,19 +263,12 @@ def apply_sweep(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     return rho
 
 
-def _sweeps(
-    kraus: KrausSet,
-    rho0: DenseState,
-    tol: float,
-    max_sweeps: int,
-    stall_ratio: float = 0.9999,
-    stall_window: int = 10_000,
-):
+def _sweeps(kraus: KrausSet, rho0: DenseState, tol: float, max_sweeps: int):
     """Yield (sweep, rho, defect) after each full sweep, up to the first defect <= tol.
 
     The defect is the Frobenius norm of the change over one sweep.  Raises
     NoConvergence if max_sweeps is exhausted or the defect decay ratio stays
-    above stall_ratio for a whole stall window (uniqueness of the fixed point
+    above STALL_RATIO for STALL_WINDOW sweeps (uniqueness of the fixed point
     is guaranteed, a rate is not).
     """
     rho = np.array(rho0.matrix)
@@ -286,8 +284,8 @@ def _sweeps(
         if defect <= tol:
             return
         if prev_defect is not None and prev_defect > 0:
-            stalled = stalled + 1 if defect / prev_defect > stall_ratio else 0
-            if stalled >= stall_window:
+            stalled = stalled + 1 if defect / prev_defect > STALL_RATIO else 0
+            if stalled >= STALL_WINDOW:
                 raise NoConvergence(
                     f"defect stalled near {defect:.3e} after {sweep} sweeps"
                 )
@@ -300,11 +298,9 @@ def channel_fixed_point(
     rho0: DenseState,
     tol: float = 1e-12,
     max_sweeps: int = 1_000_000,
-    stall_ratio: float = 0.9999,
-    stall_window: int = 10_000,
 ) -> DenseState:
     """Iterate full sweeps until the Frobenius defect drops below tol (see _sweeps)."""
-    for _, rho, _ in _sweeps(kraus, rho0, tol, max_sweeps, stall_ratio, stall_window):
+    for _, rho, _ in _sweeps(kraus, rho0, tol, max_sweeps):
         pass
     return DenseState(rho, list(rho0.site_dims))
 

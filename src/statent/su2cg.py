@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .commutants import su2_sector_dim
+from .commutants import Inadmissible, su2_sector_dim
 from .exactnum import factorial
 
 
@@ -243,10 +243,14 @@ class HaarEnsembleSpec:
         return self.L // 2 if self.L_A is None else self.L_A
 
     def validate(self) -> None:
+        L_A = self.cut()
+        if L_A < 2 or self.L - L_A < 2 or L_A % 2 or self.L % 2:
+            raise Inadmissible(f"need even halves of at least 2 sites, got L={self.L}, "
+                               f"L_A={L_A}")
         if self.lambda_max < 0 or self.lambda_max > self.L // 2:
-            raise ValueError(f"need 0 <= lambda_max <= L/2, got {self.lambda_max}")
+            raise Inadmissible(f"need 0 <= lambda_max <= L/2, got {self.lambda_max}")
         if self.samples < 1:
-            raise ValueError("need samples >= 1")
+            raise Inadmissible(f"need samples >= 1, got {self.samples}")
 
 
 def _draw_weights(spec: HaarEnsembleSpec, index: int, dims: np.ndarray) -> np.ndarray:

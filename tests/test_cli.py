@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import statent
 from statent.cli import RunConfig, main
 
 try:
@@ -50,6 +52,40 @@ def test_malformed_quantity_exit_2(token, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and token in err
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--family", "su2", "--L-list", "8,x"],
+    ["compute", "--family", "su2", "--L", "8", "--quantities", "rtilde", "--n-grid", "0.5,x"],
+    ["haar", "--family", "su2", "--L", "0"],
+    ["haar", "--family", "su2", "--L", "4", "--lambda-max", "9"],
+    ["haar", "--family", "su2", "--L", "4", "--samples", "0"],
+])
+def test_bad_input_exit_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible")
+
+
+@pytest.mark.parametrize("grid", [
+    ["--L-min", "8", "--L-max", "16", "--L-step", "0"],
+    ["--L-min", "8", "--L-max", "16", "--L-step", "-2"],
+    ["--L-min", "0", "--L-max", "16", "--geometric"],
+])
+def test_endless_scan_grid_exit_2(grid):
+    # a grid that never reaches L_max must be refused, not built; the child
+    # runs under a memory cap and a timeout in case it is not
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from statent.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "scan", "--family", "su2", "--quantities", "en", *grid],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(statent.__file__))},
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("inadmissible")
 
 
 def test_compute_json_schema(capsys):

@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import statent
 from statent.commutants import (
     CommutantSpec,
     Family,
@@ -219,6 +225,9 @@ def test_compute_report_backends():
         CommutantSpec(Family.TL, 3, L, L // 2),
         CommutantSpec(Family.PF, 3, L, L // 2),
         CommutantSpec(Family.SUN, 3, 96, 48),
+        # exact backend at the top of the SU(N >= 3) sizes it is chosen for
+        CommutantSpec(Family.SUN, 3, 510, 255),
+        CommutantSpec(Family.SUN, 4, 256, 128),
     ]:
         rep_e = compute_report(spec, backend="exact")
         rep_l = compute_report(spec, backend="log")
@@ -235,3 +244,25 @@ def test_compute_report_backends():
         ]:
             assert have == pytest.approx(want, rel=1e-10), (spec, name)
         assert rep_l.R.keys() == rep_e.R.keys() and rep_l.R_tilde.keys() == rep_e.R_tilde.keys()
+
+
+def test_log_backend_reach_one_million():
+    # the README's reach, in a fresh interpreter so the peak RSS is this run's own
+    code = textwrap.dedent("""
+        import json, resource, time
+        from statent import CommutantSpec, Family, compute_report
+        t0 = time.perf_counter()
+        E_N = {f"{f.value}{N}": compute_report(CommutantSpec(f, N, 10**6, 5 * 10**5)).E_N
+               for f, N in ((Family.U1, 2), (Family.SUN, 2), (Family.TL, 3))}
+        print(json.dumps({"E_N": E_N, "wall_s": time.perf_counter() - t0,
+                          "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+    """)
+    src = os.path.dirname(os.path.dirname(statent.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["wall_s"] < 30 and got["maxrss_mb"] < 400, got
+    assert got["E_N"]["u12"] == 0.0
+    assert got["E_N"]["sun2"] == pytest.approx(0.5 * math.log(10**6), abs=0.5)
+    assert got["E_N"]["tl3"] / 10**6 == pytest.approx(0.1116, abs=1e-3)  # Read-Saleur volume law

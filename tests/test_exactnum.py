@@ -6,6 +6,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import statent
 from statent.exactnum import (
@@ -108,6 +110,13 @@ def test_sum_ratio_terms():
     terms = [(1, 3), (1, 4), (1, 5)]
     assert sum_ratio_terms(terms) == Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 5)
     assert sum_ratio_terms([]) == 0
+    assert sum_ratio_terms([(1, 4), (1, 6), (5, 12)]) == Fraction(5, 6)  # shared factors
+    assert sum_ratio_terms([(6, 4)]) == Fraction(3, 2)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**30), st.integers(1, 10**12)), max_size=30))
+def test_sum_ratio_terms_matches_pairwise_fractions(terms):
+    assert sum_ratio_terms(terms) == sum((Fraction(n, d) for n, d in terms), Fraction(0))
 
 
 def test_tl_q():
