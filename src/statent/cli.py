@@ -16,6 +16,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -37,6 +39,8 @@ EXIT_VERIFY_FAIL = 3
 EXIT_RESOURCE = 4
 
 LN2 = math.log(2.0)
+Backend = typing.Literal["exact", "log", "auto"]
+Format = typing.Literal["csv", "json"]
 
 
 class EmptyScan(ValueError):
@@ -59,12 +63,12 @@ class RunConfig:
     cut: int | None = None  # L_A; default half chain
     quantities: list[str] = field(default_factory=lambda: ["en", "r3", "sop"])
     n_grid: list[float] = field(default_factory=lambda: [0.5, 1.0, 1.5, 3.0, 4.0, 6.0])
-    fmt: str = "json"
+    fmt: Format = "json"
     output: str | None = None
     seed: int = 12345
     samples: int = 100
     lambda_max: int | None = None
-    backend: str = "auto"
+    backend: Backend = "auto"
     tol: float = 1e-12
     max_sweeps: int = 1_000_000
     dim_cap: int = oracle.DEFAULT_DIM_CAP
@@ -459,12 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cut", type=int, help="L_A (default: half chain)")
         sp.add_argument("--quantities", help="comma list: en,r3,r4,rt1.5,rtilde,sop")
         sp.add_argument("--n-grid", dest="n_grid", help="comma list of rtilde indices")
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"])
+        sp.add_argument("--format", dest="fmt", choices=typing.get_args(Format))
         sp.add_argument("--output", help="output path (default stdout)")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--samples", type=int)
         sp.add_argument("--lambda-max", dest="lambda_max", type=int)
-        sp.add_argument("--backend", choices=["exact", "log", "auto"])
+        sp.add_argument("--backend", choices=typing.get_args(Backend))
         sp.add_argument("--tol", type=float)
         sp.add_argument("--max-sweeps", dest="max_sweeps", type=int)
         sp.add_argument("--dim-cap", dest="dim_cap", type=int)
@@ -484,14 +488,32 @@ def _numbers(key: str, text: str, kind: type) -> list:
                            f"{kind.__name__}s") from None
 
 
+def _fits(value, hint) -> bool:
+    """value has the RunConfig field type hint; ints pass for floats, bools only for bools."""
+    if typing.get_origin(hint) is typing.Literal:
+        return value in typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def build_config(argv) -> RunConfig:
     args = vars(_build_parser().parse_args(argv))
     sub = args.pop("subcommand")
     path = args.pop("config", None)
     base: dict = {}
     if path:
-        with open(path) as fh:
-            base = json.load(fh)
+        try:
+            with open(path) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise Inadmissible(f"cannot read config {path}: {exc}") from None
+        if not isinstance(base, dict):
+            raise Inadmissible(f"config {path} must hold a JSON object")
     base.pop("subcommand", None)
     unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -504,6 +526,11 @@ def build_config(argv) -> RunConfig:
             base[key] = _numbers(key, base[key], kind)
     if isinstance(base.get("quantities"), str):
         base["quantities"] = [x for x in base["quantities"].split(",") if x]
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in base.items():
+        if not _fits(value, hint := hints[key]):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise Inadmissible(f"config key {key}: {value!r} is not {kind}")
     return RunConfig(subcommand=sub, **base)
 
 

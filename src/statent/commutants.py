@@ -2,19 +2,17 @@
 
 For a bipartite chain L = L_A + L_B the stationary-state formulas only need,
 per irrep lambda admissible on both halves, the degeneracy d_lambda and the
-bond-algebra dimensions D_lambda^(L_A), D_dual^(L_B).  This module enumerates
-that data exactly (Python ints) for
+bond-algebra dimensions D_lambda^(L_A), D_dual^(L_B).  Each family states
+them once, in one table entry (IRREPS), as exact ints and as float64 logs:
 
   U1   -- magnetization sectors on a spin-1/2 chain,
   SUN  -- Schur-Weyl sectors (partitions) on an N-state chain,
   PF   -- pair-flip dot-pattern sectors (classical fragmentation),
-  TL   -- Temperley-Lieb / Read-Saleur sectors (quantum fragmentation),
+  TL   -- Temperley-Lieb / Read-Saleur sectors (quantum fragmentation).
 
-SU(2) is TL(2): its spins lambda carry ballot-number dimensions and the
-degeneracy [2 lambda + 1]_q at q = 1, so it runs on the TL code path
-(CommutantSpec.ballot).  SU(N >= 3) keeps the partition formulas.
-
-plus log-domain arrays of the same data for chains far beyond exact reach.
+SU(2) is TL(2) at q = 1 (spins with ballot-number dimensions), so it reads
+the TL entry.  The readers -- exact sector rows, log-domain sector arrays
+for chains far beyond exact reach, the commutant bounds -- are family-blind.
 """
 
 from __future__ import annotations
@@ -24,18 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import (
-    LogReal,
-    binomial,
-    exact_log,
-    factorial,
-    q_int_exact,
-    tl_q,
-)
+from .exactnum import LogReal, binomial, factorial, q_int_exact, tl_q
 
 
 class Family(str, Enum):
@@ -81,9 +72,9 @@ class CommutantSpec:
         return min(self.L_A, self.L_B)
 
     @property
-    def ballot(self) -> bool:
-        """Spin sectors with ballot-number dimensions: TL(N), and SU(2) = TL(2)."""
-        return self.family == Family.TL or (self.family == Family.SUN and self.N == 2)
+    def irreps(self) -> "Irreps":
+        """This family's table entry; SU(2) = TL(2) reads the ballot (TL) entry."""
+        return IRREPS[Family.TL if (self.family, self.N) == (Family.SUN, 2) else self.family]
 
 
 @dataclass(frozen=True)
@@ -199,8 +190,7 @@ def sun_irrep_dims(N: int, ell: int, lam: tuple[int, ...]) -> tuple[int, int]:
 def sun_partitions(ell: int, N: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Partitions of ell into at most N parts, each <= cap, padded to length N.
 
-    Emitted with the leading part descending; streamed so callers can fold
-    over large sector lists without materializing them.
+    Emitted with the leading part descending (lexicographically descending).
     """
 
     def rec(remaining: int, acc: list[int], hi: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -213,12 +203,6 @@ def sun_partitions(ell: int, N: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - p, acc + [p], p, slots - 1)
 
     yield from rec(ell, [], cap, N)
-
-
-def sun_dual(N: int, L: int, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Dual partition lam_bar_i = L/N - lam_{N+1-i}."""
-    c = L // N
-    return tuple(c - lam[N - 1 - i] for i in range(N))
 
 
 def pf_pattern_count(N: int, M: int) -> int:
@@ -285,77 +269,179 @@ def log_pf_sector_dims(N: int, L: int) -> tuple[float, ...]:
             w[1 : L + 2],  # popped from h+1
         )
         w = nxt
-    out = []
-    for M in range(L + 1):
-        lpc = 0.0 if M == 0 else math.log(N) + (M - 1) * math.log(N - 1)
-        out.append(w[M] - lpc)
-    return tuple(out)
+    return tuple(w[: L + 1] - IRREPS[Family.PF].log_pc_d(N, np.arange(L + 1))[0])
+
+
+def _lg(x) -> np.ndarray:
+    v = np.vectorize(math.lgamma, otypes=[float])
+    return v(x)
 
 
 # ---------------------------------------------------------------------------
-# enumeration of bipartite-paired sectors
+# one irrep table entry per family
+# ---------------------------------------------------------------------------
+
+class Irreps:
+    """One family's irreps: labels on ell sites (one array row per label), how
+    they pair across the cut (default: each label with itself on L_min), and
+    (pattern count, degeneracy) and the dimension D on ell sites per label.
+
+    Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
+    log flavour (log_pc_d, log_D: a label array).  Defaults: pc = d = 1.
+    """
+
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+        lab = self.labels(spec.N, spec.L_min)
+        return lab, lab
+
+    def estimate(self, N: int, ell: int) -> int:
+        """Cheap upper estimate of the number of irreps on ell sites."""
+        return len(self.labels(N, ell))
+
+    def name(self, ell: int, lab):
+        return lab
+
+    def pc_d(self, N: int, lab) -> tuple[int, int]:
+        return 1, 1
+
+    def log_pc_d(self, N: int, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.zeros(len(lab))
+        return z, z
+
+
+class U1Irreps(Irreps):
+    """Magnetization sectors, labelled by the down-spin count k: D = C(ell, k)."""
+
+    def labels(self, N: int, ell: int) -> np.ndarray:
+        return np.arange(ell + 1)
+
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+        kA = np.arange(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
+        return kA, spec.L // 2 - kA  # M_A + M_B = 0
+
+    def name(self, ell: int, k: int) -> Fraction:
+        return Fraction(ell, 2) - k
+
+    def D(self, N: int, ell: int, k: int) -> int:
+        return binomial(ell, k)
+
+    def log_D(self, N: int, ell: int, k: np.ndarray) -> np.ndarray:
+        return _lg(ell + 1) - _lg(k + 1) - _lg(ell - k + 1)
+
+
+class BallotIrreps(Irreps):
+    """TL(N) spins lam = 0..ell/2, and SU(2) = TL(2) at q = 1.
+
+    d = [2 lam + 1]_q for q + 1/q = N, and D is the ballot number (su2_sector_dim).
+    """
+
+    def labels(self, N: int, ell: int) -> np.ndarray:
+        return np.arange(ell // 2 + 1)
+
+    def pc_d(self, N: int, lam: int) -> tuple[int, int]:
+        return 1, q_int_exact(2 * lam + 1, N)
+
+    def log_pc_d(self, N: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, q = 2 * lam + 1, tl_q(N)  # [n]_q = q^n (1 - q^-2n) / (q - 1/q): no q^n formed
+        log_d = np.log(n) if q == 1.0 else (
+            n * math.log(q) + np.log1p(-q ** (-2.0 * n)) - math.log(q - 1.0 / q))
+        return np.zeros(len(lam)), log_d
+
+    def D(self, N: int, ell: int, lam: int) -> int:
+        return su2_sector_dim(ell, lam)
+
+    def log_D(self, N: int, ell: int, lam: np.ndarray) -> np.ndarray:
+        k = ell // 2 + lam
+        return (math.lgamma(ell + 1) - _lg(k + 1) - _lg(ell - k + 1)
+                + np.log(2 * lam + 1.0) - np.log(ell // 2 + lam + 1.0))
+
+
+class PFIrreps(Irreps):
+    """Dot patterns by length M (d = 1); one label stands for all pc = N(N-1)^(M-1)."""
+
+    def labels(self, N: int, ell: int) -> np.ndarray:
+        return np.arange(0, ell + 1, 2)
+
+    def pc_d(self, N: int, M: int) -> tuple[int, int]:
+        return pf_pattern_count(N, M), 1
+
+    def log_pc_d(self, N: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_pc = np.where(M == 0, 0.0, math.log(N) + np.maximum(M - 1, 0) * math.log(N - 1))
+        return log_pc, np.zeros_like(log_pc)
+
+    def D(self, N: int, ell: int, M: int) -> int:
+        return pf_sector_dimension(N, ell, M)
+
+    def log_D(self, N: int, ell: int, M: np.ndarray) -> np.ndarray:
+        return np.asarray(log_pf_sector_dims(N, ell))[M]
+
+
+class SUNIrreps(Irreps):
+    """SU(N >= 3) partitions (rows of N parts): d the Weyl dimension, D the S_ell one.
+
+    A partition of L_A pairs with its dual lam_bar_i = L/N - lam_{N+1-i}.
+    """
+
+    def labels(self, N: int, ell: int, cap: int | None = None) -> np.ndarray:
+        if (est := self.estimate(N, ell)) > SECTOR_ENUM_CAP:
+            raise TooManySectors(f"~{est} SU({N}) partitions of {ell} sites; only the "
+                                 "half-chain R3/R4 fast path is available at this size")
+        parts = sun_partitions(ell, N, ell if cap is None else cap)
+        return np.array(list(parts), dtype=np.int64).reshape(-1, N)
+
+    def estimate(self, N: int, ell: int) -> int:
+        return max(1, math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
+
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+        c = spec.L // spec.N
+        lam = self.labels(spec.N, spec.L_A, cap=c)
+        return lam, c - lam[:, ::-1]
+
+    def name(self, ell: int, lam: list[int]) -> tuple[int, ...]:
+        return tuple(lam)
+
+    def pc_d(self, N: int, lam: list[int]) -> tuple[int, int]:
+        return 1, sun_weyl_dim(N, lam)
+
+    def log_pc_d(self, N: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lv = self.log_vandermonde(lam)[1]
+        return np.zeros_like(lv), lv - math.log(_superfactorial(N))
+
+    def D(self, N: int, ell: int, lam: list[int]) -> int:
+        return sun_irrep_dims(N, ell, lam)[1]
+
+    def log_D(self, N: int, ell: int, lam: np.ndarray) -> np.ndarray:
+        t, lv = self.log_vandermonde(lam)
+        return math.lgamma(ell + 1) + lv - sum(_lg(col + 1) for col in t.T)
+
+    def log_vandermonde(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Shifted parts lam~_i = lam_i + N - i and log prod_{i<j}(lam~_i - lam~_j)."""
+        N = lam.shape[1]
+        t = lam + np.arange(N - 1, -1, -1)
+        return t, sum(np.log(t[:, i] - t[:, j]) for i in range(N) for j in range(i + 1, N))
+
+
+IRREPS: dict[Family, Irreps] = {Family.U1: U1Irreps(), Family.TL: BallotIrreps(),
+                                Family.PF: PFIrreps(), Family.SUN: SUNIrreps()}
+
+
+# ---------------------------------------------------------------------------
+# readers of the table: paired sectors, D_0, bounds, log arrays
 # ---------------------------------------------------------------------------
 
 def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
     """Stream IrrepRecords for all irreps admissible on both L_A and L_B."""
-    f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
-
-    if spec.ballot:
-        for lam in range(spec.L_min // 2 + 1):
-            yield IrrepRecord(
-                label=lam,
-                d=q_int_exact(2 * lam + 1, N),
-                D_A=su2_sector_dim(L_A, lam),
-                D_B=su2_sector_dim(L_B, lam),
-            )
-    elif f == Family.U1:
-        # sector M on A pairs with -M on B; enumerate via the down-spin count
-        for kA in range(L_A + 1):
-            kB = L // 2 - kA  # enforces M_A + M_B = 0
-            if kB < 0 or kB > L_B:
-                continue
-            yield IrrepRecord(
-                label=Fraction(L_A, 2) - kA,
-                d=1,
-                D_A=binomial(L_A, kA),
-                D_B=binomial(L_B, kB),
-            )
-    elif f == Family.SUN:
-        cap = L // N
-        for lam in sun_partitions(L_A, N, cap):
-            d, D_A = sun_irrep_dims(N, L_A, lam)
-            _, D_B = sun_irrep_dims(N, L_B, sun_dual(N, L, lam))
-            yield IrrepRecord(label=lam, d=d, D_A=D_A, D_B=D_B)
-    elif f == Family.PF:
-        for M in range(0, spec.L_min + 1, 2):
-            yield IrrepRecord(
-                label=M,
-                d=1,
-                D_A=pf_sector_dimension(N, L_A, M),
-                D_B=pf_sector_dimension(N, L_B, M),
-                pattern_count=pf_pattern_count(N, M),
-            )
-    else:  # pragma: no cover
-        raise Inadmissible(f"unknown family {f}")
+    irr, N = spec.irreps, spec.N
+    lab_A, lab_B = irr.pair(spec)
+    for a, b in zip(lab_A.tolist(), lab_B.tolist()):
+        pc, d = irr.pc_d(N, a)
+        yield IrrepRecord(label=irr.name(spec.L_A, a), d=d, D_A=irr.D(N, spec.L_A, a),
+                          D_B=irr.D(N, spec.L_B, b), pattern_count=pc)
 
 
 def enumerate_sectors(spec: CommutantSpec) -> list[IrrepRecord]:
     """Complete bipartite-paired sector list (see iter_sectors)."""
     return list(iter_sectors(spec))
-
-
-def estimate_sector_count(spec: CommutantSpec) -> int:
-    """Cheap upper estimate of len(enumerate_sectors(spec))."""
-    if spec.family == Family.U1:
-        return spec.L_min + 1
-    if spec.ballot or spec.family == Family.PF:
-        return spec.L_min // 2 + 1
-    # SU(N >= 3): partitions of L_A into <= N parts
-    n, k = spec.L_A, spec.N
-    est = 1
-    for i in range(1, k):
-        est = est * (n + i) // i
-    return max(1, est // math.factorial(k - 1))
 
 
 def singlet_dimension(spec: CommutantSpec) -> int:
@@ -367,50 +453,38 @@ def singlet_dimension(spec: CommutantSpec) -> int:
     return sum(r.weight for r in iter_sectors(spec))
 
 
-def commutant_dimension(spec: CommutantSpec) -> LogReal:
-    """dim C(L_min) = sum over ALL irreps on the smaller half of count * d^2.
+def _log_pc_d_on_min_half(spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(log pc, log d) over ALL irreps on the smaller half, paired or not."""
+    irr = spec.irreps
+    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min))
 
-    This runs over every irrep admissible on that length alone (not the
-    bipartite-paired list), which is what the entanglement upper bounds need.
-    """
-    ell, f, N = spec.L_min, spec.family, spec.N
-    if spec.ballot:
-        return LogReal(_lse(2 * _log_ballot_d(N, np.arange(ell // 2 + 1))))
-    if f == Family.U1:
-        total = ell + 1
-    elif f == Family.PF:
-        total = sum(pf_pattern_count(N, M) for M in range(0, ell + 1, 2))
-    else:
-        total = sum(sun_weyl_dim(N, lam) ** 2 for lam in sun_partitions(ell, N, ell))
-    return LogReal.from_int(total)
+
+def commutant_dimension(spec: CommutantSpec) -> LogReal:
+    """dim C(L_min) = sum over every irrep on the smaller half of pc * d^2."""
+    log_pc, log_d = _log_pc_d_on_min_half(spec)
+    return LogReal(_lse(log_pc + 2 * log_d))
 
 
 def max_log_degeneracy(spec: CommutantSpec) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
-    ell, f, N = spec.L_min, spec.family, spec.N
-    if spec.ballot:
-        return float(_log_ballot_d(N, ell // 2))
-    if f in (Family.U1, Family.PF):
-        return 0.0
-    return exact_log(max(sun_weyl_dim(N, lam) for lam in sun_partitions(ell, N, ell)))
+    return float(np.max(_log_pc_d_on_min_half(spec)[1]))
 
-
-# ---------------------------------------------------------------------------
-# log-domain sector arrays (large-L backend)
-# ---------------------------------------------------------------------------
 
 @dataclass
 class LogSectors:
-    """Per-sector logs: pattern count, degeneracy, and both bond dimensions."""
+    """Per-sector logs (pattern count, degeneracy, both bond dimensions) and log D_0.
+
+    A table built from exact rows also keeps the rows and the integer D_0, so
+    integer moments can still be summed exactly.
+    """
 
     log_pc: np.ndarray
     log_d: np.ndarray
     log_DA: np.ndarray
     log_DB: np.ndarray
-
-    @property
-    def log_D0(self) -> float:
-        return _lse(self.log_pc + self.log_DA + self.log_DB)
+    log_D0: float
+    rows: Sequence[IrrepRecord] | None = None
+    D0: int = 0
 
 
 def _lse(x: np.ndarray) -> float:
@@ -423,81 +497,8 @@ def _lse(x: np.ndarray) -> float:
 
 def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     """Log-domain analogue of enumerate_sectors (float64 arrays)."""
-    f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
-
-    if f == Family.U1:
-        kA = np.arange(L_A + 1)
-        kB = L // 2 - kA
-        ok = (kB >= 0) & (kB <= L_B)
-        kA, kB = kA[ok], kB[ok]
-        lgA = _lg(L_A + 1) - _lg(kA + 1) - _lg(L_A - kA + 1)
-        lgB = _lg(L_B + 1) - _lg(kB + 1) - _lg(L_B - kB + 1)
-        z = np.zeros_like(lgA)
-        return LogSectors(z, z, lgA, lgB)
-    if spec.ballot:
-        lam = np.arange(spec.L_min // 2 + 1)
-        lgA = _log_ballot(L_A, lam)
-        lgB = _log_ballot(L_B, lam)
-        return LogSectors(np.zeros_like(lgA), _log_ballot_d(N, lam), lgA, lgB)
-    if f == Family.PF:
-        M = np.arange(0, spec.L_min + 1, 2)
-        dimsA = np.asarray(log_pf_sector_dims(N, L_A))
-        dimsB = np.asarray(log_pf_sector_dims(N, L_B))
-        log_pc = np.where(
-            M == 0, 0.0, math.log(N) + np.maximum(M - 1, 0) * math.log(N - 1)
-        )
-        return LogSectors(log_pc, np.zeros_like(log_pc), dimsA[M], dimsB[M])
-    if f == Family.SUN:
-        if estimate_sector_count(spec) > SECTOR_ENUM_CAP:
-            raise TooManySectors(
-                f"~{estimate_sector_count(spec):.0f} SU({N}) partitions at L={L}; "
-                "only the half-chain R3/R4 fast path is available at this size"
-            )
-        rows_d, rows_A, rows_B = [], [], []
-        lsf = math.log(_superfactorial(N))
-        cap = L // N
-        for lam in sun_partitions(L_A, N, cap):
-            tl_sh = [lam[i] + N - 1 - i for i in range(N)]
-            dual = sun_dual(N, L, lam)
-            tl_du = [dual[i] + N - 1 - i for i in range(N)]
-            lv = 0.0
-            for i in range(N):
-                for j in range(i + 1, N):
-                    lv += math.log(tl_sh[i] - tl_sh[j])
-            rows_d.append(lv - lsf)
-            la = math.lgamma(L_A + 1) + lv - sum(math.lgamma(t + 1) for t in tl_sh)
-            lb = math.lgamma(L_B + 1) + lv - sum(math.lgamma(t + 1) for t in tl_du)
-            rows_A.append(la)
-            rows_B.append(lb)
-        arr_d = np.asarray(rows_d)
-        return LogSectors(np.zeros_like(arr_d), arr_d, np.asarray(rows_A), np.asarray(rows_B))
-    raise Inadmissible(f"unknown family {f}")  # pragma: no cover
-
-
-def _lg(x) -> np.ndarray:
-    v = np.vectorize(math.lgamma, otypes=[float])
-    return v(x)
-
-
-def _log_ballot_d(N: int, lam: int | np.ndarray) -> np.ndarray:
-    """log [2 lam + 1]_q for q + 1/q = N: the ballot-sector degeneracy d_lam.
-
-    [n]_q = q^n (1 - q^-2n) / (q - 1/q), so no q^n is ever formed; q = 1
-    (SU(2)) is the plain log(2 lam + 1).
-    """
-    n = 2 * np.asarray(lam) + 1
-    q = tl_q(N)
-    if q == 1.0:
-        return np.log(n)
-    return n * math.log(q) + np.log1p(-q ** (-2.0 * n)) - math.log(q - 1.0 / q)
-
-
-def _log_ballot(ell: int, lam: np.ndarray) -> np.ndarray:
-    k = ell // 2 + lam
-    return (
-        math.lgamma(ell + 1)
-        - _lg(k + 1)
-        - _lg(ell - k + 1)
-        + np.log(2 * lam + 1.0)
-        - np.log(ell // 2 + lam + 1.0)
-    )
+    irr, N = spec.irreps, spec.N
+    lab_A, lab_B = irr.pair(spec)
+    log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A), irr.log_D(N, spec.L_B, lab_B)
+    log_pc, log_d = irr.log_pc_d(N, lab_A)
+    return LogSectors(log_pc, log_d, log_DA, log_DB, _lse(log_pc + log_DA + log_DB))

@@ -3,18 +3,20 @@
 The stationary state is block diagonal over the sectors lambda.  Sector
 lambda has weight p_lambda = pc D_A D_B / D_0 (pc its pattern count, D_A and
 D_B the bond dimensions on either side of the cut, D_0 the singlet
-dimension) and degeneracy d_lambda.  Every negativity is one moment of that
-distribution, M(k) = E_p[d^k] = (1/D_0) sum_lambda pc D_A D_B d^k:
+dimension) and degeneracy d_lambda.  Every quantity is a functional of that
+distribution; the negativities are its moments M(k) = E_p[d^k]:
 
   E_N    = log M(1)
   R_n    = -log M(1 - n)              (odd n; R_n = R_{n-1} for even n)
   Rt_n   = log M(2 - n) / (2 - n)     (real n > 0, n != 2; Rt_1 = E_N)
-  S_OP   = -sum_lambda p_lambda log( p_lambda / (pc d^2) )
+  S_OP   = H(p) + E_p[log(pc d^2)]
 
-Each backend evaluates M(k) in one place.  The exact backend sums integers
-(k >= 0) or exact ratios (k < 0) and takes one final float log, so the
-Abelian families (all d = 1, M = 1) come out at exactly 0.0.  The log
-backend (numpy arrays) covers chains up to L ~ 10^6.
+Both backends evaluate one table type, LogSectors: the log backend builds it
+as numpy arrays (chains up to L ~ 10^6), the exact backend from its exact
+rows, which the table keeps.  One evaluator computes log M(k); integer k
+over exact rows is summed exactly (integers for k >= 0, ratios over one
+common denominator for k < 0) with one final float log, so the Abelian
+families (all d = 1, M = 1) come out at exactly 0.0.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutants import (
-    CommutantSpec,
-    IrrepRecord,
-    LogSectors,
-    commutant_dimension,
-    enumerate_sectors,
-    estimate_sector_count,
-    max_log_degeneracy,
-    sector_log_arrays,
-    _lse,
-    _superfactorial,
+    CommutantSpec, IrrepRecord, LogSectors, commutant_dimension, enumerate_sectors,
+    max_log_degeneracy, sector_log_arrays, _lg, _lse, _superfactorial,
 )
 from .exactnum import LogReal, exact_log, sum_ratio_terms
 
@@ -57,52 +51,49 @@ class NAtTwo(ValueError):
 LogMoment = Callable[[float], float]  # k -> log M(k)
 
 
-def _once_per_k(log_moment: LogMoment) -> LogMoment:
-    """Memoize on float(k), so R_3's k = -2 and Rt_4's k = -2.0 share one sum."""
-    cached = functools.cache(log_moment)
-    return lambda k: cached(float(k))
-
-
 # ---------------------------------------------------------------------------
-# the sector moment, once per backend
+# one evaluator over the sector table
 # ---------------------------------------------------------------------------
 
-def _exact_moments(sectors: Sequence[IrrepRecord], D0: int) -> LogMoment:
-    """k -> log M(k) over exact sector rows, each k evaluated once.
-
-    Integer k is summed exactly and M(k) == 1 gives exactly 0.0; any other k
-    goes through a float log-sum.
-    """
+def _exact_table(sectors: Sequence[IrrepRecord], D0: int) -> LogSectors:
+    """The log table of exact sector rows, keeping the rows for exact moments."""
     if not sectors:
         raise EmptySectorList("no sectors")
+    logs = np.array([[exact_log(x) for x in (r.pattern_count, r.d, r.D_A, r.D_B)]
+                     for r in sectors])
+    return LogSectors(*logs.T, log_D0=exact_log(D0), rows=sectors, D0=D0)
 
+
+def _moments(ls: LogSectors) -> LogMoment:
+    """k -> log M(k), memoized on float(k) so R_3 and Rt_4 share k = -2.
+
+    Integer k over exact rows is an exact sum, and M(k) == 1 gives exactly
+    0.0; every other k is one log-sum-exp over the table.
+    """
+    base = ls.log_pc + ls.log_DA + ls.log_DB
+
+    @functools.cache
     def log_moment(k: float) -> float:
-        if not float(k).is_integer():
-            logs = [
-                math.log(r.pattern_count) + exact_log(r.D_A) + exact_log(r.D_B)
-                + k * exact_log(r.d)
-                for r in sectors
-            ]
-            m = max(logs)
-            return m + math.log(math.fsum(math.exp(x - m) for x in logs)) - exact_log(D0)
+        if ls.rows is None or not k.is_integer():
+            return _lse(base + k * ls.log_d) - ls.log_D0
         k = int(k)
         if k >= 0:
-            s = Fraction(sum(r.weight * r.d**k for r in sectors), D0)
+            s = Fraction(sum(r.weight * r.d**k for r in ls.rows), ls.D0)
         else:
-            s = sum_ratio_terms([(r.weight, r.d**-k) for r in sectors]) / D0
+            s = sum_ratio_terms([(r.weight, r.d**-k) for r in ls.rows]) / ls.D0
         return 0.0 if s == 1 else exact_log(s)
 
-    return _once_per_k(log_moment)
+    return lambda k: log_moment(float(k))
 
 
-def _log_moments(ls: LogSectors) -> LogMoment:
-    """k -> log M(k) over log-domain sector arrays, each k evaluated once."""
-    base, log_D0 = ls.log_pc + ls.log_DA + ls.log_DB, ls.log_D0
+def _sop(ls: LogSectors) -> float:
+    """S_OP = H(p) + E_p[log(pc d^2)] = sum_lambda p (2 log d - log w).
 
-    def log_moment(k: float) -> float:
-        return _lse(base + k * ls.log_d) - log_D0
-
-    return _once_per_k(log_moment)
+    w = p / pc = D_A D_B / D_0 is one pattern's weight; taking its log
+    directly keeps the large log pc of long PF patterns out of the difference.
+    """
+    log_w = ls.log_DA + ls.log_DB - ls.log_D0
+    return float(np.sum(np.exp(ls.log_pc + log_w) * (2.0 * ls.log_d - log_w)))
 
 
 def _over(log_m: float, c: float, exact: bool) -> float:
@@ -130,60 +121,43 @@ def _rtilde(log_moment: LogMoment, n: float, exact: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact backend
+# the quantities on exact rows and on log arrays
 # ---------------------------------------------------------------------------
 
 def log_negativity(sectors: Sequence[IrrepRecord], D0: int) -> float:
     """E_N in nats; exactly 0.0 whenever all degeneracies are 1."""
-    return _exact_moments(sectors, D0)(1)
+    return _moments(_exact_table(sectors, D0))(1)
 
 
 def renyi_negativity(sectors: Sequence[IrrepRecord], D0: int, n: int) -> float:
     """R_n in nats for integer n >= 1 (even n via R_n = R_{n-1})."""
-    return _renyi(_exact_moments(sectors, D0), n, exact=True)
+    return _renyi(_moments(_exact_table(sectors, D0)), n, exact=True)
 
 
 def generalized_renyi(sectors: Sequence[IrrepRecord], D0: int, n: float) -> float:
     """Rt_n in nats for real n > 0, n != 2; equals E_N at n = 1."""
-    return _rtilde(_exact_moments(sectors, D0), n, exact=True)
+    return _rtilde(_moments(_exact_table(sectors, D0)), n, exact=True)
 
 
 def operator_space_entanglement(sectors: Sequence[IrrepRecord], D0: int) -> float:
-    """S_OP in nats: Shannon entropy of the sector weights, shifted by 2 log d."""
-    if not sectors:
-        raise EmptySectorList("no sectors")
-    lD0 = exact_log(D0)
-    acc = []
-    for r in sectors:
-        w_num = r.D_A * r.D_B  # weight of ONE pattern in this record
-        p = float(Fraction(w_num, D0))
-        if p == 0.0:
-            continue
-        term = exact_log(w_num) - lD0 - 2.0 * exact_log(r.d)
-        acc.append(-r.pattern_count * p * term)
-    return math.fsum(acc)
+    """S_OP in nats: Shannon entropy of the sector weights plus E_p[log(pc d^2)]."""
+    return _sop(_exact_table(sectors, D0))
 
-
-# ---------------------------------------------------------------------------
-# log-domain backend
-# ---------------------------------------------------------------------------
 
 def log_negativity_logdomain(ls: LogSectors) -> float:
-    return _log_moments(ls)(1)
+    return _moments(ls)(1)
 
 
 def renyi_negativity_logdomain(ls: LogSectors, n: int) -> float:
-    return _renyi(_log_moments(ls), n, exact=False)
+    return _renyi(_moments(ls), n, exact=False)
 
 
 def generalized_renyi_logdomain(ls: LogSectors, n: float) -> float:
-    return _rtilde(_log_moments(ls), n, exact=False)
+    return _rtilde(_moments(ls), n, exact=False)
 
 
 def operator_space_entanglement_logdomain(ls: LogSectors) -> float:
-    logw = ls.log_DA + ls.log_DB - ls.log_D0  # one pattern's weight
-    w = np.exp(ls.log_pc + logw)
-    return float(-np.sum(w * (logw - 2.0 * ls.log_d)))
+    return _sop(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +217,8 @@ class EntanglementReport:
 def pick_backend(spec: CommutantSpec, backend: str = "auto") -> str:
     if backend in ("exact", "log"):
         return backend
-    if spec.L <= EXACT_L_THRESHOLD and estimate_sector_count(spec) <= EXACT_SECTOR_CAP:
+    # the paired sectors are among the irreps on L_A
+    if spec.L <= EXACT_L_THRESHOLD and spec.irreps.estimate(spec.N, spec.L_A) <= EXACT_SECTOR_CAP:
         return "exact"
     return "log"
 
@@ -255,15 +230,16 @@ def compute_report(
     backend: str = "auto",
 ) -> EntanglementReport:
     exact = pick_backend(spec, backend) == "exact"
+    # S_OP through each backend's public function, which perfbench's per-layer
+    # trace times as that backend's evaluation (exact_eval / log_eval)
     if exact:
         sectors = enumerate_sectors(spec)
         D0 = sum(r.weight for r in sectors)  # = singlet_dimension(spec)
-        log_moment = _exact_moments(sectors, D0)
-        sop = operator_space_entanglement(sectors, D0)
+        ls, sop = _exact_table(sectors, D0), operator_space_entanglement(sectors, D0)
     else:
         ls = sector_log_arrays(spec)
-        log_moment = _log_moments(ls)
         sop = operator_space_entanglement_logdomain(ls)
+    log_moment = _moments(ls)
     bounds = upper_bounds(spec)
     return EntanglementReport(
         spec=spec,
@@ -315,8 +291,7 @@ def sun_renyi3_half_chain(N: int, L: int) -> float:
     M = LA + N * (N - 1) // 2  # sum of shifted parts
 
     x = np.arange(a + 1)
-    lgam = np.vectorize(math.lgamma, otypes=[float])
-    log_g = math.lgamma(a + 1) - lgam(x + 1) - lgam(a - x + 1)
+    log_g = math.lgamma(a + 1) - _lg(x + 1) - _lg(a - x + 1)
     shift = float(np.max(log_g))
     g = np.exp(log_g - shift)
 

@@ -3,10 +3,10 @@
 Sector dimensions grow like N^L, so every formula in this package is evaluated
 either with exact integer/rational arithmetic (small chains) or in the log
 domain (large chains).  Counts are plain Python ints (arbitrary precision);
-this module adds the log-domain number type plus the handful of combinatorial
+this module adds a log-domain number type plus the handful of combinatorial
 primitives the sector enumerations need: binomials, exact q-integers for the
 exact sector rows, and ratio sums over one common denominator.  The log of a
-q-integer lives with the sector arrays (commutants._log_ballot_d).
+q-integer lives in the ballot table entry (commutants.BallotIrreps).
 
 Everything is a pure function of its arguments.  The memo tables (the
 factorial cache and one growing q-integer list per N) are append-only.
@@ -103,30 +103,17 @@ def exact_log(x: int | Fraction) -> float:
 
 @dataclass(frozen=True)
 class LogReal:
-    """A real number stored as (sign, log|value|).
+    """A positive real stored as its natural log.
 
-    sign is +1, -1 or 0; log is -inf when sign == 0.  Keeps quantities like
-    dim C(L) ~ e^L representable for L ~ 10^6.
+    Keeps quantities like dim C(L) ~ e^L representable for L ~ 10^6.
     """
 
     log: float
-    sign: int = 1
-
-    @staticmethod
-    def from_int(n: int) -> "LogReal":
-        if n == 0:
-            return LogReal(float("-inf"), 0)
-        return LogReal(math.log(abs(n)), 1 if n > 0 else -1)
 
     def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log)
+        return math.exp(self.log)
 
     def log_value(self) -> float:
-        """Natural log; only defined for positive values."""
-        if self.sign <= 0:
-            raise ValueError("log of a non-positive LogReal")
         return self.log
 
 

@@ -259,6 +259,38 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize("sub, text", [
+    ("compute", None),  # no such file
+    ("compute", "{not json"),
+    ("compute", "[8]"),
+    ("compute", '{"family": "su2", "L": "8"}'),
+    ("compute", '{"family": "su2", "L": true}'),
+    ("compute", '{"family": "su2", "L": 8, "cut": "4"}'),
+    ("scan", '{"family": "su2", "L_list": ["8", "x"]}'),
+    ("haar", '{"family": "su2", "L": 8, "samples": "5"}'),
+    ("compute", '{"family": "su2", "L": 8, "backend": "fast"}'),
+    ("compute", '{"family": "su2", "L": 8, "fmt": "xml"}'),
+], ids=["missing", "not-json", "array", "L-text", "L-bool", "cut-text", "L_list-text",
+        "samples-text", "backend-choice", "fmt-choice"])
+def test_config_bad_file_exit_2(sub, text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli([sub, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible")
+
+
+def test_config_int_for_float_field(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "tl", "N": 3, "L": 8, "quantities": ["rtilde"],
+                                "n_grid": [3, 0.5]}))
+    code, out, _ = run_cli(["compute", "--config", str(path)], capsys)
+    assert code == 0
+    assert set(json.loads(out)["quantities"]["rtilde"]) == {"3", "0.5"}
+
+
 def test_runconfig_roundtrip():
     cfg = RunConfig(subcommand="scan", family="tl", N=3, L_min=8, L_max=64,
                     geometric=True, quantities=["en", "r3"], seed=9)

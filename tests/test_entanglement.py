@@ -266,3 +266,24 @@ def test_log_backend_reach_one_million():
     assert got["E_N"]["u12"] == 0.0
     assert got["E_N"]["sun2"] == pytest.approx(0.5 * math.log(10**6), abs=0.5)
     assert got["E_N"]["tl3"] / 10**6 == pytest.approx(0.1116, abs=1e-3)  # Read-Saleur volume law
+
+
+def test_sun_bounds_refuse_too_many_partitions():
+    # every reader of the SU(N) partition table is capped, the bounds too; a
+    # child interpreter with a timeout, since an uncapped walk never returns
+    code = textwrap.dedent("""
+        from statent.commutants import (CommutantSpec, Family, TooManySectors,
+                                        commutant_dimension, max_log_degeneracy)
+        from statent.entanglement import upper_bounds
+        spec = CommutantSpec(Family.SUN, 5, 10000, 5000)
+        for fn in (upper_bounds, commutant_dimension, max_log_degeneracy):
+            try:
+                fn(spec)
+            except TooManySectors:
+                print(fn.__name__)
+    """)
+    src = os.path.dirname(os.path.dirname(statent.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["upper_bounds", "commutant_dimension", "max_log_degeneracy"]

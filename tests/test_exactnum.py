@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import statent
 from statent.exactnum import (
     DomainError,
-    LogReal,
     binomial,
     exact_log,
     q_int,
@@ -75,12 +74,6 @@ def test_q_int_exact_matches_float():
         q = tl_q(N)
         for n in range(12):
             assert abs(q_int_exact(n, N) - q_int(n, q)) < 1e-6 * max(1, q_int_exact(n, N))
-
-
-def test_logreal_roundtrip():
-    for n in (1, 7, 10**12, 10**250, 3**600):
-        if n < 1e300:
-            assert abs(LogReal.from_int(n).to_float() - float(n)) <= 1e-12 * float(n)
 
 
 def test_q_int_table_memory_linear():
