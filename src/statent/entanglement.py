@@ -217,8 +217,10 @@ class EntanglementReport:
 def pick_backend(spec: CommutantSpec, backend: str = "auto") -> str:
     if backend in ("exact", "log"):
         return backend
-    # the paired sectors are among the irreps on L_A
-    if spec.L <= EXACT_L_THRESHOLD and spec.irreps.estimate(spec.N, spec.L_A) <= EXACT_SECTOR_CAP:
+    # the paired sectors are among the irreps on the smaller half, so a cut
+    # and its mirror image get the same backend
+    if (spec.L <= EXACT_L_THRESHOLD
+            and spec.irreps.estimate(spec.N, spec.L_min) <= EXACT_SECTOR_CAP):
         return "exact"
     return "log"
 

@@ -1,8 +1,9 @@
 """Brute-force ground truth on small chains.
 
 Builds the local Kraus channels for each family, iterates the composite
-channel to its fixed point, and computes every entanglement quantity straight
-from the dense density matrix.  Nothing here knows about sector data: this is
+channel to its fixed point on the basis states the seed can reach, and
+computes every entanglement quantity straight from the full dense density
+matrix.  Nothing here knows about sector data: this is
 the independent side of the dual-route check that certifies the closed forms
 (and the pair-flip counting) at small L.
 """
@@ -263,21 +264,67 @@ def apply_sweep(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     return rho
 
 
-def _sweeps(kraus: KrausSet, rho0: DenseState, tol: float, max_sweeps: int):
-    """Yield (sweep, rho, defect) after each full sweep, up to the first defect <= tol.
+def reachable_states(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """Sorted basis states reachable from the support of rho under the Kraus operators.
+
+    Breadth-first search over each channel's local sparsity pattern: local
+    state b leads to a if any K[a, b] != 0.  The set S is closed under every
+    embedded K (K[not S, S] = 0), so every iterate of the sweep vanishes
+    exactly outside S x S.  Reads only the Kraus matrices, never sector data.
+    """
+    N, L = kraus.N, kraus.L
+    seen = np.zeros(N**L, dtype=bool)
+    nonzero = rho != 0
+    frontier = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    seen[frontier] = True
+    moves = [(N ** (L - ch.sites[0] - len(ch.sites)), N ** len(ch.sites),
+              np.any([K != 0 for K in ch.ops], axis=0)) for ch in kraus.channels]
+    while frontier.size:
+        found = []
+        for B, d, leads in moves:
+            loc = frontier // B % d
+            a, i = np.nonzero(leads[:, loc])
+            found.append(frontier[i] + (a - loc[i]) * B)
+        frontier = np.unique(np.concatenate(found))
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return np.flatnonzero(seen)
+
+
+def restrict_local(op: np.ndarray, sites: tuple[int, ...], states: np.ndarray,
+                   N: int, L: int) -> np.ndarray:
+    """embed_local(op, sites, N, L)[states][:, states], without the N^L x N^L embedding.
+
+    A diagonal op comes back as its 1-D diagonal: the sweep scales by it
+    elementwise, which gives the same floats as the matrix product.
+    """
+    B = N ** (L - sites[0] - len(sites))
+    loc = states // B % N ** len(sites)
+    rest = states - loc * B
+    if not np.any(op - np.diag(np.diagonal(op))):
+        return np.diagonal(op)[loc]
+    return np.where(rest[:, None] == rest[None, :], op[loc[:, None], loc[None, :]], 0)
+
+
+def _start(rho: np.ndarray) -> np.ndarray:
+    """A copy of rho, real if its imaginary part is zero."""
+    if np.iscomplexobj(rho) and np.max(np.abs(rho.imag)) == 0.0:
+        return rho.real.copy()  # all Kraus sets here are real; halves the cost
+    return np.array(rho)
+
+
+def _sweeps(sweep_map, rho: np.ndarray, tol: float, max_sweeps: int):
+    """Yield (sweep, rho, defect) after each sweep_map(rho), up to the first defect <= tol.
 
     The defect is the Frobenius norm of the change over one sweep.  Raises
     NoConvergence if max_sweeps is exhausted or the defect decay ratio stays
     above STALL_RATIO for STALL_WINDOW sweeps (uniqueness of the fixed point
     is guaranteed, a rate is not).
     """
-    rho = np.array(rho0.matrix)
-    if np.iscomplexobj(rho) and np.max(np.abs(rho.imag)) == 0.0:
-        rho = rho.real.copy()  # all Kraus sets here are real; halves the cost
     prev_defect, defect = None, math.nan
     stalled = 0
     for sweep in range(1, max_sweeps + 1):
-        nxt = apply_sweep(rho, kraus)
+        nxt = sweep_map(rho)
         defect = float(np.linalg.norm(nxt - rho))
         rho = nxt
         yield sweep, rho, defect
@@ -299,10 +346,28 @@ def channel_fixed_point(
     tol: float = 1e-12,
     max_sweeps: int = 1_000_000,
 ) -> DenseState:
-    """Iterate full sweeps until the Frobenius defect drops below tol (see _sweeps)."""
-    for _, rho, _ in _sweeps(kraus, rho0, tol, max_sweeps):
+    """Iterate sweeps until the Frobenius defect drops below tol (see _sweeps).
+
+    The sweep runs on the m x m block over the reachable basis states S (see
+    reachable_states), applying each channel in order as rho -> sum_K K rho K^dag
+    with K restricted to S; the converged block is embedded back into a full
+    N^L x N^L matrix, which is exactly zero outside S x S.
+    """
+    S = reachable_states(kraus, rho0.matrix)
+    channels = [[restrict_local(K, ch.sites, S, kraus.N, kraus.L) for K in ch.ops]
+                for ch in kraus.channels]
+
+    def sweep_map(r: np.ndarray) -> np.ndarray:
+        for ops in channels:
+            r = sum(K[:, None] * r * K.conj() if K.ndim == 1 else K @ r @ K.conj().T
+                    for K in ops)
+        return r
+
+    for _, block, _ in _sweeps(sweep_map, _start(rho0.matrix[np.ix_(S, S)]), tol, max_sweeps):
         pass
-    return DenseState(rho, list(rho0.site_dims))
+    full = np.zeros(rho0.matrix.shape, dtype=block.dtype)
+    full[np.ix_(S, S)] = block
+    return DenseState(full, list(rho0.site_dims))
 
 
 def iterate_with_trajectory(
@@ -312,7 +377,11 @@ def iterate_with_trajectory(
     tol: float = 1e-12,
     max_sweeps: int = 100_000,
 ) -> tuple[DenseState, list[dict]]:
-    """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect)."""
+    """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect).
+
+    Runs the full-space apply_sweep, whose summation order the pinned
+    dynamics outputs depend on.
+    """
 
     def row(sweep: int, rho: np.ndarray, defect: float) -> dict:
         st = DenseState(rho, list(rho0.site_dims))
@@ -325,7 +394,8 @@ def iterate_with_trajectory(
         }
 
     rows = [row(0, np.array(rho0.matrix), float("nan"))]
-    for sweep, rho, defect in _sweeps(kraus, rho0, tol, max_sweeps):
+    sweeps = _sweeps(lambda r: apply_sweep(r, kraus), _start(rho0.matrix), tol, max_sweeps)
+    for sweep, rho, defect in sweeps:
         rows.append(row(sweep, rho, defect))
     return DenseState(rho, list(rho0.site_dims)), rows
 

@@ -27,6 +27,7 @@ from statent.entanglement import (
     log_negativity_logdomain,
     operator_space_entanglement,
     operator_space_entanglement_logdomain,
+    pick_backend,
     renyi_negativity,
     renyi_negativity_logdomain,
     su2_log_negativity_closed,
@@ -244,6 +245,26 @@ def test_compute_report_backends():
         ]:
             assert have == pytest.approx(want, rel=1e-10), (spec, name)
         assert rep_l.R.keys() == rep_e.R.keys() and rep_l.R_tilde.keys() == rep_e.R_tilde.keys()
+
+
+def test_mirror_cuts_pick_same_backend():
+    # the same paired sectors on either side of the chain: 8037 for SU(4), L = 400
+    a = CommutantSpec(Family.SUN, 4, 400, 100)
+    b = CommutantSpec(Family.SUN, 4, 400, 300)
+    assert pick_backend(a) == pick_backend(b) == "exact"
+    ra, rb = compute_report(a), compute_report(b)
+    assert ra.mode == rb.mode
+    for name, x, y in [
+        ("E_N", ra.E_N, rb.E_N),
+        ("S_OP", ra.S_OP, rb.S_OP),
+        ("log_dim_C_min", ra.dim_C_min.log_value(), rb.dim_C_min.log_value()),
+        ("log_dim_c_min", ra.bounds.log_dim_c_min, rb.bounds.log_dim_c_min),
+        ("log_max_d", ra.bounds.log_max_d, rb.bounds.log_max_d),
+        *((f"R_{n}", ra.R[n], rb.R[n]) for n in ra.R),
+        *((f"Rt_{n}", ra.R_tilde[n], rb.R_tilde[n]) for n in ra.R_tilde),
+        *((f"Rt_bound_{n}", ra.rtilde_bounds[n], rb.rtilde_bounds[n]) for n in ra.rtilde_bounds),
+    ]:
+        assert x == pytest.approx(y, rel=1e-12, abs=1e-12), name
 
 
 def test_log_backend_reach_one_million():

@@ -10,7 +10,12 @@ from statent.commutants import (
     enumerate_sectors,
     singlet_dimension,
 )
-from statent.entanglement import log_negativity
+from statent.entanglement import (
+    generalized_renyi,
+    log_negativity,
+    operator_space_entanglement,
+    renyi_negativity,
+)
 from statent.oracle import (
     BadCut,
     DenseState,
@@ -26,6 +31,8 @@ from statent.oracle import (
     iterate_with_trajectory,
     pf_pattern_census,
     pt_eigenvalues,
+    reachable_states,
+    restrict_local,
     singlet_product_state,
     stack_reduce,
     stationary_state,
@@ -234,3 +241,86 @@ def test_dense_generalized_matches_closed_form():
     assert dense_generalized_renyi(st, 2, 0.5) == pytest.approx(
         generalized_renyi(secs, D0, 0.5), abs=1e-9
     )
+
+
+SMALL_CHAINS = [(Family.SUN, 2, 6), (Family.SUN, 3, 6), (Family.U1, 2, 6),
+                (Family.PF, 3, 4), (Family.TL, 3, 4), (Family.TL, 4, 4)]
+
+
+@pytest.mark.parametrize("fam, N, L", SMALL_CHAINS)
+def test_reachable_set_holds_seed_and_is_closed(fam, N, L):
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L).matrix
+    S = reachable_states(ks, rho0)
+    seed = np.flatnonzero(np.any(rho0 != 0, axis=1))
+    assert set(seed) <= set(S)
+    outside = np.setdiff1d(np.arange(N**L), S)
+    for ch in ks.channels:
+        for K in ch.ops:
+            Kf = embed_local(K, ch.sites, N, L)
+            assert not np.any(Kf[np.ix_(outside, S)])
+            R = restrict_local(K, ch.sites, S, N, L)
+            assert np.array_equal(np.diag(R) if R.ndim == 1 else R, Kf[np.ix_(S, S)])
+
+
+def test_reachable_set_sizes():
+    def size(fam, N, L):
+        rho0 = singlet_product_state(fam, N, L).matrix
+        return len(reachable_states(build_kraus(fam, N, L), rho0))
+
+    assert size(Family.SUN, 2, 8) == size(Family.U1, 2, 8) == math.comb(8, 4)
+    assert size(Family.SUN, 3, 6) == math.factorial(6) // math.factorial(2) ** 3
+    assert size(Family.PF, 3, 6) == pf_pattern_census(3, 6)[()]
+
+
+def _plain_fixed_point(ks, rho0, tol=1e-12):
+    # the full-space reference: iterate apply_sweep on the whole N^L x N^L matrix
+    rho = rho0.matrix
+    while True:
+        nxt = orc.apply_sweep(rho, ks)
+        defect = np.linalg.norm(nxt - rho)
+        rho = nxt
+        if defect <= tol:
+            return rho
+
+
+@pytest.mark.parametrize("fam, N, L", [c for c in SMALL_CHAINS if c != (Family.SUN, 3, 6)])
+def test_fixed_point_matches_full_sweep(fam, N, L):
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L)
+    got = channel_fixed_point(ks, rho0).matrix
+    assert np.max(np.abs(got - _plain_fixed_point(ks, rho0))) <= 1e-13
+    S = reachable_states(ks, rho0.matrix)
+    outside = np.ones(got.shape, dtype=bool)
+    outside[np.ix_(S, S)] = False
+    assert np.all(got[outside] == 0.0)
+
+
+def test_mixed_seed_reaches_same_fixed_point():
+    L = 6
+    ks = build_kraus(Family.U1, 2, L)
+    neel = singlet_product_state(Family.U1, 2, L)
+    i = int(np.flatnonzero(np.diag(neel.matrix))[0])
+    mirror = 2**L - 1 - i  # every spin flipped
+    mixed = np.array(neel.matrix) / 2
+    mixed[mirror, mirror] = 0.5
+    a = channel_fixed_point(ks, neel).matrix
+    b = channel_fixed_point(ks, DenseState(mixed, [2] * L)).matrix
+    # both stop at a defect of 1e-12, so each sits within about
+    # 1e-12 / (1 - contraction rate) of the exact fixed point
+    assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_oracle_certifies_su2_L10():
+    # N^L = 1024 with |S| = 252: one size above the criterion-01 grid
+    spec = CommutantSpec(Family.SUN, 2, 10, 4)
+    st = stationary_state(spec)
+    secs, D0 = enumerate_sectors(spec), singlet_dimension(spec)
+    pairs = [
+        (log_negativity(secs, D0), dense_log_negativity(st, 4)),
+        (renyi_negativity(secs, D0, 3), dense_renyi_negativity(st, 4, 3)),
+        (renyi_negativity(secs, D0, 4), dense_renyi_negativity(st, 4, 4)),
+        (generalized_renyi(secs, D0, 1.5), dense_generalized_renyi(st, 4, 1.5)),
+        (operator_space_entanglement(secs, D0), dense_ose(st, 4)),
+    ]
+    assert max(abs(a - b) for a, b in pairs) < 1e-8

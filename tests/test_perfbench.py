@@ -4,6 +4,7 @@ perfbench traces statent's public functions by name; a refactor that renames
 or drops one of them would otherwise only lose a per-layer metric quietly.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -49,3 +50,21 @@ def test_traced_pass_sees_every_sector_layer():
                  "commutants.log_pf_sector_dims", "commutants.commutant_dimension",
                  "commutants.max_log_degeneracy"):
         assert calls.get(span, 0) > 0, span
+
+
+def test_dynamics_bytes_match_reference(tmp_path):
+    # dynamics runs the full-space sweep, whose summation order the pinned
+    # output depends on; bytes are pinned at one BLAS thread
+    out_file = tmp_path / "traj.csv"
+    code = "import sys; from statent.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, "dynamics", "--config",
+         os.path.join("configs", "fig7_dynamics_tl3.json"), "--output", str(out_file)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        want = json.load(fh)["cli/fig7_dynamics_tl3/0"]["sha256"]
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want
