@@ -313,11 +313,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
     cut = spec.L_A
     closed = {"en": rep.E_N, "r3": rep.R[3], "r4": rep.R[4], "rt1.5": rep.R_tilde[1.5],
               "sop": rep.S_OP}
+    w, lam = oracle.pt_eigenvalues(st, cut), oracle.rho_spectrum(st)
     dense = {
-        "en": oracle.dense_log_negativity(st, cut),
-        "r3": oracle.dense_renyi_negativity(st, cut, 3),
-        "r4": oracle.dense_renyi_negativity(st, cut, 4),
-        "rt1.5": oracle.dense_generalized_renyi(st, cut, 1.5),
+        "en": oracle.log_negativity_from(w),
+        "r3": oracle.renyi_negativity_from(w, lam, 3),
+        "r4": oracle.renyi_negativity_from(w, lam, 4),
+        "rt1.5": oracle.generalized_renyi_from(w, lam, 1.5),
         "sop": oracle.dense_ose(st, cut),
     }
     s = _scale(cfg)

@@ -272,9 +272,22 @@ def log_pf_sector_dims(N: int, L: int) -> tuple[float, ...]:
     return tuple(w[: L + 1] - IRREPS[Family.PF].log_pc_d(N, np.arange(L + 1))[0])
 
 
+LG_CHUNK = 2**14
+
+
 def _lg(x) -> np.ndarray:
-    v = np.vectorize(math.lgamma, otypes=[float])
-    return v(x)
+    """math.lgamma elementwise, as a float array of x's shape.
+
+    Maps over LG_CHUNK-element tolist() chunks, so the Python numbers alive at
+    once stay bounded however large x is.
+    """
+    x = np.asarray(x)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, LG_CHUNK):
+        chunk = flat[i:i + LG_CHUNK].tolist()
+        out[i:i + len(chunk)] = np.fromiter(map(math.lgamma, chunk), float, len(chunk))
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

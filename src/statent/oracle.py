@@ -3,7 +3,8 @@
 Builds the local Kraus channels for each family, iterates the composite
 channel to its fixed point on the basis states the seed can reach, and
 computes every entanglement quantity straight from the full dense density
-matrix.  Nothing here knows about sector data: this is
+matrix (its spectra one connected block of nonzeros at a time, which a
+conserved charge makes small).  Nothing here knows about sector data: this is
 the independent side of the dual-route check that certifies the closed forms
 (and the pair-flip counting) at small L.
 """
@@ -254,6 +255,7 @@ def _apply_superop(rho: np.ndarray, sites: tuple[int, ...], S: np.ndarray,
     r = rho.reshape(A, d, B, A, d, B)
     x = np.ascontiguousarray(r.transpose(1, 4, 0, 2, 3, 5)).reshape(d * d, -1)
     y = (S @ x).reshape(d, d, A, B, A, B)
+    del x  # so the output copy below is not a fourth full-size array alive at once
     return np.ascontiguousarray(y.transpose(2, 0, 3, 4, 1, 5)).reshape(rho.shape)
 
 
@@ -380,15 +382,16 @@ def iterate_with_trajectory(
     """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect).
 
     Runs the full-space apply_sweep, whose summation order the pinned
-    dynamics outputs depend on.
+    dynamics outputs depend on.  Each row solves one PT and one rho spectrum.
     """
 
     def row(sweep: int, rho: np.ndarray, defect: float) -> dict:
         st = DenseState(rho, list(rho0.site_dims))
+        w = pt_eigenvalues(st, cut)
         return {
             "sweep": sweep,
-            "E_N": dense_log_negativity(st, cut),
-            "R3": dense_renyi_negativity(st, cut, 3),
+            "E_N": log_negativity_from(w),
+            "R3": renyi_negativity_from(w, rho_spectrum(st), 3),
             "S_OP": dense_ose(st, cut),
             "defect": defect,
         }
@@ -491,40 +494,79 @@ def partial_transpose(state: DenseState, cut: int) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(dA * dB, dA * dB)
 
 
+def block_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a), solved one connected block of a's nonzero pattern at a time.
+
+    The blocks are the connected components of the graph i ~ j iff a[i, j] != 0
+    or a[j, i] != 0, found by a breadth-first search from each row not yet
+    placed; all-zero rows contribute exact zeros.  Blocks split only at exact
+    zeros, so the spectrum is the same as from one eigensolve of a, returned
+    the same way: all n values, ascending.
+    """
+    nz = a != 0
+    nz |= nz.T
+    unplaced = nz.any(axis=1)
+    parts = [np.zeros(a.shape[0] - np.count_nonzero(unplaced))]
+    for start in np.flatnonzero(unplaced):
+        if not unplaced[start]:
+            continue
+        unplaced[start] = False
+        block = frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(nz[frontier].any(axis=0) & unplaced)
+            unplaced[frontier] = False
+            block = np.concatenate((block, frontier))
+        idx = np.sort(block)
+        parts.append(np.linalg.eigvalsh(a[np.ix_(idx, idx)]))
+    return np.sort(np.concatenate(parts))
+
+
 def pt_eigenvalues(state: DenseState, cut: int) -> np.ndarray:
     """Eigenvalues of rho^T_B (Hermitian), tiny noise floored to zero."""
-    w = np.linalg.eigvalsh(partial_transpose(state, cut))
+    w = block_eigvalsh(partial_transpose(state, cut))
     w[np.abs(w) < EIG_FLOOR] = 0.0
     return w
 
 
-def dense_log_negativity(state: DenseState, cut: int) -> float:
-    w = pt_eigenvalues(state, cut)
-    return float(np.log(np.sum(np.abs(w))))
+def rho_spectrum(state: DenseState) -> np.ndarray:
+    """Eigenvalues of rho, noise of either sign floored to exact zero.
 
-
-def _rho_spectrum(state: DenseState) -> np.ndarray:
-    # rho is PSD; noise of either sign is floored to exact zero so that
-    # fractional powers neither NaN (negatives) nor blow up (sqrt of ~1e-13)
-    lam = np.linalg.eigvalsh(state.matrix)
+    rho is PSD; the floor keeps fractional powers from NaN (negatives) and
+    from blowing up (sqrt of ~1e-13).
+    """
+    lam = block_eigvalsh(state.matrix)
     lam[lam < EIG_FLOOR] = 0.0
     return lam
 
 
-def dense_renyi_negativity(state: DenseState, cut: int, n: int) -> float:
+# The spectrum -> quantity formulas: w = pt_eigenvalues, lam = rho_spectrum.
+
+def log_negativity_from(w: np.ndarray) -> float:
+    return float(np.log(np.sum(np.abs(w))))
+
+
+def renyi_negativity_from(w: np.ndarray, lam: np.ndarray, n: int) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
-    w = pt_eigenvalues(state, cut)
-    lam = _rho_spectrum(state)
     return float(-np.log(np.sum(w**n) / np.sum(lam**n)))
 
 
-def dense_generalized_renyi(state: DenseState, cut: int, n: float) -> float:
+def generalized_renyi_from(w: np.ndarray, lam: np.ndarray, n: float) -> float:
     if abs(n - 2.0) < 1e-9:
         raise ValueError("undefined at n = 2")
-    w = np.abs(pt_eigenvalues(state, cut))
-    lam = _rho_spectrum(state)
-    return float(np.log(np.sum(w**n) / np.sum(lam**n)) / (2.0 - n))
+    return float(np.log(np.sum(np.abs(w)**n) / np.sum(lam**n)) / (2.0 - n))
+
+
+def dense_log_negativity(state: DenseState, cut: int) -> float:
+    return log_negativity_from(pt_eigenvalues(state, cut))
+
+
+def dense_renyi_negativity(state: DenseState, cut: int, n: int) -> float:
+    return renyi_negativity_from(pt_eigenvalues(state, cut), rho_spectrum(state), n)
+
+
+def dense_generalized_renyi(state: DenseState, cut: int, n: float) -> float:
+    return generalized_renyi_from(pt_eigenvalues(state, cut), rho_spectrum(state), n)
 
 
 def dense_ose(state: DenseState, cut: int) -> float:

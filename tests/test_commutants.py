@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from statent.commutants import (
+    LG_CHUNK,
     CommutantSpec,
     Family,
     Inadmissible,
@@ -22,6 +23,7 @@ from statent.commutants import (
     sun_partitions,
     check_admissible,
 )
+from statent.commutants import _lg
 from statent.exactnum import factorial
 from statent.oracle import pf_pattern_census
 
@@ -235,3 +237,11 @@ def test_log_pf_dims_large_consistent():
     exact = [pf_sector_dimension(3, 64, M) for M in range(0, 65, 2)]
     for M, e in zip(range(0, 65, 2), exact):
         assert logs[M] == pytest.approx(math.log(e), rel=1e-10)
+
+
+def test_lg_is_math_lgamma_bit_for_bit():
+    # 2-D, over three chunks, so the chunk boundaries fall inside rows
+    x = np.arange(3 * (LG_CHUNK + 1)).reshape(3, -1) * 37 + 1
+    got = _lg(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert got.ravel().tolist() == [math.lgamma(v) for v in x.ravel().tolist()]

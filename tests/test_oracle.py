@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import statent.oracle as orc
 from statent.commutants import (
@@ -20,6 +22,7 @@ from statent.oracle import (
     BadCut,
     DenseState,
     TooLarge,
+    block_eigvalsh,
     build_kraus,
     channel_fixed_point,
     conserved_operators,
@@ -29,14 +32,18 @@ from statent.oracle import (
     dense_renyi_negativity,
     embed_local,
     iterate_with_trajectory,
+    partial_transpose,
     pf_pattern_census,
     pt_eigenvalues,
     reachable_states,
     restrict_local,
+    rho_spectrum,
     singlet_product_state,
     stack_reduce,
     stationary_state,
 )
+
+from test_acceptance import ORACLE_CONFIGS
 
 
 def test_su2_bond_kraus_are_projectors():
@@ -324,3 +331,80 @@ def test_oracle_certifies_su2_L10():
         (operator_space_entanglement(secs, D0), dense_ose(st, 4)),
     ]
     assert max(abs(a - b) for a, b in pairs) < 1e-8
+
+
+def _permuted_blocks(rng, sizes, zero_rows):
+    """A random symmetric block-diagonal matrix with its rows and columns shuffled."""
+    n = sum(sizes) + zero_rows
+    a = np.zeros((n, n))
+    i = 0
+    for k in sizes:
+        b = rng.standard_normal((k, k))
+        a[i:i + k, i:i + k] = b + b.T
+        i += k
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.integers(1, 6), max_size=5), hst.integers(0, 4),
+       hst.integers(0, 2**32 - 1))
+def test_block_eigvalsh_matches_full_eigensolve(sizes, zero_rows, seed):
+    assume(sizes or zero_rows)
+    a = _permuted_blocks(np.random.default_rng(seed), sizes, zero_rows)
+    got, want = block_eigvalsh(a), np.linalg.eigvalsh(a)
+    assert got.shape == want.shape
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_block_eigvalsh_edge_cases():
+    assert block_eigvalsh(np.array([[3.0]])).tolist() == [3.0]
+    assert block_eigvalsh(np.zeros((1, 1))).tolist() == [0.0]
+    assert block_eigvalsh(np.zeros((4, 4))).tolist() == [0.0] * 4
+    # a one-sided entry still joins its row and column into one block
+    a = np.diag([1.0, 2.0])
+    a[1, 0] = 1.0
+    assert np.allclose(block_eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-15)
+
+
+def test_block_eigvalsh_solves_each_block_alone(monkeypatch):
+    sizes = [3, 1, 5, 2]
+    a = _permuted_blocks(np.random.default_rng(7), sizes, 4)
+    solved = []
+    full = np.linalg.eigvalsh
+
+    def spy(m):
+        solved.append(m.shape[0])
+        return full(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    block_eigvalsh(a)
+    assert sorted(solved) == sorted(sizes)
+
+
+@pytest.mark.parametrize("fam, N, L, LA", ORACLE_CONFIGS)
+def test_block_spectra_match_full_on_stationary_states(fam, N, L, LA):
+    st = stationary_state(CommutantSpec(fam, N, L, LA))
+    for a in (partial_transpose(st, LA), st.matrix):
+        assert np.max(np.abs(block_eigvalsh(a) - np.linalg.eigvalsh(a))) <= 1e-13
+
+
+@pytest.mark.parametrize("fam, N, L, cut", [(Family.TL, 3, 4, 2), (Family.SUN, 2, 6, 2)])
+def test_trajectory_rows_equal_dense_quantities(fam, N, L, cut):
+    # the row reads E_N and R3 off one PT and one rho spectrum; the public
+    # functions solve their own, with the same formulas and the same bits
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L)
+    _, rows = iterate_with_trajectory(ks, rho0, cut, tol=1e-10)
+    assert len(rows) > 5
+    rho = rho0.matrix
+    for k, row in enumerate(rows):
+        if k:
+            rho = orc.apply_sweep(rho, ks)
+        st = DenseState(rho, [N] * L)
+        assert row["E_N"] == dense_log_negativity(st, cut)
+        assert row["R3"] == dense_renyi_negativity(st, cut, 3)
+        assert row["S_OP"] == dense_ose(st, cut)
+        w, lam = pt_eigenvalues(st, cut), rho_spectrum(st)
+        assert orc.generalized_renyi_from(w, lam, 1.5) == dense_generalized_renyi(st, cut, 1.5)

@@ -52,19 +52,29 @@ def test_traced_pass_sees_every_sector_layer():
         assert calls.get(span, 0) > 0, span
 
 
-def test_dynamics_bytes_match_reference(tmp_path):
-    # dynamics runs the full-space sweep, whose summation order the pinned
-    # output depends on; bytes are pinned at one BLAS thread
+def _dynamics_sha256_matches_reference(config, tmp_path):
+    # bytes are pinned at one BLAS thread
     out_file = tmp_path / "traj.csv"
     code = "import sys; from statent.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     out = subprocess.run(
         [sys.executable, "-c", code, "dynamics", "--config",
-         os.path.join("configs", "fig7_dynamics_tl3.json"), "--output", str(out_file)],
+         os.path.join("configs", config + ".json"), "--output", str(out_file)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
-        want = json.load(fh)["cli/fig7_dynamics_tl3/0"]["sha256"]
+        want = json.load(fh)[f"cli/{config}/0"]["sha256"]
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want
+
+
+def test_dynamics_bytes_match_reference(tmp_path):
+    # dynamics runs the full-space sweep, whose summation order the pinned
+    # output depends on
+    _dynamics_sha256_matches_reference("fig7_dynamics_tl3", tmp_path)
+
+
+def test_dynamics_su3_bytes_match_reference(tmp_path):
+    # N^L = 729: its PT and rho spectra come from many small blocks
+    _dynamics_sha256_matches_reference("fig7_dynamics_su3", tmp_path)
