@@ -64,7 +64,7 @@ class DenseState:
             raise ValueError("state is not Hermitian")
         if abs(self.trace - 1.0) > 1e-12:
             raise ValueError(f"trace is {self.trace}, not 1")
-        w = np.linalg.eigvalsh(m)
+        w = block_eigvalsh(m)
         if w.min() < -atol:
             raise ValueError(f"negative eigenvalue {w.min()}")
 
@@ -521,6 +521,44 @@ def block_eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
+def block_svdvals(m: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(m, compute_uv=False), one connected block of m's nonzero pattern at a time.
+
+    The blocks are the connected components of the bipartite graph row i ~
+    column j iff m[i, j] != 0, found by a breadth-first search that alternates
+    rows and columns from each row not yet placed; all-zero rows and columns
+    join no block.  Blocks split only at exact zeros, so the values are the
+    same as from one SVD of m, returned the same way: all min(r, c) values,
+    descending, zero-padded.  A pattern that is one block gets the SVD of the
+    whole m, zero rows and columns included, bit for bit: a product state is
+    one block, and its S_OP is SVD round-off that the pinned dynamics outputs
+    (sweep 0) record.
+    """
+    nz = m != 0
+    rows_left = nz.any(axis=1)
+    cols_left = nz.any(axis=0)
+    blocks = []
+    for start in np.flatnonzero(rows_left):
+        if not rows_left[start]:
+            continue
+        rows_left[start] = False
+        rows, cols = [np.array([start])], []
+        while rows[-1].size:
+            cols.append(np.flatnonzero(nz[rows[-1]].any(axis=0) & cols_left))
+            cols_left[cols[-1]] = False
+            rows.append(np.flatnonzero(nz[:, cols[-1]].any(axis=1) & rows_left))
+            rows_left[rows[-1]] = False
+        blocks.append((np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))))
+    if len(blocks) == 1:
+        return np.linalg.svd(m, compute_uv=False)
+    s = np.zeros(min(m.shape))
+    if blocks:
+        vals = np.concatenate([np.linalg.svd(m[np.ix_(r, c)], compute_uv=False)
+                               for r, c in blocks])
+        s[:vals.size] = np.sort(vals)[::-1]
+    return s
+
+
 def pt_eigenvalues(state: DenseState, cut: int) -> np.ndarray:
     """Eigenvalues of rho^T_B (Hermitian), tiny noise floored to zero."""
     w = block_eigvalsh(partial_transpose(state, cut))
@@ -575,7 +613,7 @@ def dense_ose(state: DenseState, cut: int) -> float:
     r = state.matrix.reshape(dA, dB, dA, dB)
     m = np.ascontiguousarray(r.transpose(0, 2, 1, 3)).reshape(dA * dA, dB * dB)
     m = m / np.linalg.norm(m)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = block_svdvals(m)
     p = s**2
     p = p[p > 1e-24]
     return float(-np.sum(p * np.log(p)))

@@ -178,7 +178,12 @@ def cg_singlet(lam, m) -> SqrtRational:
 
 @lru_cache(maxsize=None)
 def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
-    """(lam_a, lam_b, |c_m| row) triples for one lambda_tot (floats)."""
+    """(lam_a, lam_b, D_A D_B, c c^T) rows for one lambda_tot.
+
+    c is the float CG row c_m = <lam_a m; lam_b -m | lambda_tot 0>, and
+    D_A D_B = su2_sector_dim(L_A, lam_a) * su2_sector_dim(L_B, lam_b) is the
+    block's (exact integer) multiplicity.
+    """
     L_B = L - L_A
     rows = []
     for la in range(L_A // 2 + 1):
@@ -189,7 +194,8 @@ def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
             cs = np.array(
                 [cg_coefficient(lambda_tot, la, lb, m).to_float() for m in range(-mm, mm + 1)]
             )
-            rows.append((la, lb, cs))
+            dims = su2_sector_dim(L_A, la) * su2_sector_dim(L_B, lb)
+            rows.append((la, lb, dims, np.outer(cs, cs)))
     return tuple(rows)
 
 
@@ -208,24 +214,21 @@ def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     tot = math.fsum(p.values())
     if abs(tot - 1.0) > 1e-12:
         raise WeightError(f"sector weights sum to {tot!r}, not 1")
-    L_B = L - L_A
     pref = {
         t: w / su2_sector_dim(L, t) for t, w in p.items() if w != 0.0
     }
-    # group CG rows by (lam_a, lam_b) so the lambda_tot sum sits inside |.|
-    blocks: dict[tuple[int, int], list[tuple[float, np.ndarray]]] = {}
-    for t, w in pref.items():
-        for la, lb, cs in _cg_float_table(L, L_A, t):
-            blocks.setdefault((la, lb), []).append((w, cs))
+    # sum the CG rows per (lam_a, lam_b) block so the lambda_tot sum sits inside |.|
+    blocks: dict[tuple[int, int, int], np.ndarray] = {}
+    for t, weight in pref.items():
+        for la, lb, dims, cc in _cg_float_table(L, L_A, t):
+            key = (la, lb, dims)
+            if key in blocks:
+                blocks[key] += weight * cc
+            else:
+                blocks[key] = weight * cc
     total = 0.0
-    for (la, lb), parts in blocks.items():
-        mm = min(la, lb)
-        n = 2 * mm + 1
-        w = np.zeros((n, n))
-        for weight, cs in parts:
-            w += weight * np.outer(cs, cs)
-        tn = float(np.sum(np.abs(w)))
-        total += su2_sector_dim(L_A, la) * su2_sector_dim(L_B, lb) * tn
+    for (_, _, dims), w in blocks.items():
+        total += dims * float(np.sum(np.abs(w)))
     return math.log(total)
 
 

@@ -23,6 +23,7 @@ from statent.oracle import (
     DenseState,
     TooLarge,
     block_eigvalsh,
+    block_svdvals,
     build_kraus,
     channel_fixed_point,
     conserved_operators,
@@ -388,6 +389,81 @@ def test_block_spectra_match_full_on_stationary_states(fam, N, L, LA):
     st = stationary_state(CommutantSpec(fam, N, L, LA))
     for a in (partial_transpose(st, LA), st.matrix):
         assert np.max(np.abs(block_eigvalsh(a) - np.linalg.eigvalsh(a))) <= 1e-13
+
+
+def _permuted_rect_blocks(rng, shapes, zero_rows, zero_cols):
+    """A random rectangular block-diagonal matrix with its rows and columns shuffled."""
+    a = np.zeros((sum(r for r, _ in shapes) + zero_rows, sum(c for _, c in shapes) + zero_cols))
+    i = j = 0
+    for r, c in shapes:
+        a[i:i + r, j:j + c] = rng.standard_normal((r, c))
+        i, j = i + r, j + c
+    return a[np.ix_(rng.permutation(a.shape[0]), rng.permutation(a.shape[1]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.tuples(hst.integers(1, 6), hst.integers(1, 6)), max_size=5),
+       hst.integers(0, 3), hst.integers(0, 3), hst.integers(0, 2**32 - 1))
+def test_block_svdvals_matches_full_svd(shapes, zero_rows, zero_cols, seed):
+    m = _permuted_rect_blocks(np.random.default_rng(seed), shapes, zero_rows, zero_cols)
+    assume(m.size)
+    got, want = block_svdvals(m), np.linalg.svd(m, compute_uv=False)
+    assert got.shape == want.shape == (min(m.shape),)
+    assert np.all(np.diff(got) <= 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, want[0])
+
+
+def test_block_svdvals_edge_cases():
+    assert block_svdvals(np.array([[-3.0]])).tolist() == [3.0]
+    assert block_svdvals(np.zeros((1, 1))).tolist() == [0.0]
+    assert block_svdvals(np.zeros((3, 5))).tolist() == [0.0] * 3
+    for m in (np.array([[0.0, 3.0, 0.0, 4.0]]), np.array([[0.0], [3.0], [0.0], [4.0]])):
+        assert np.allclose(block_svdvals(m), [5.0], rtol=1e-15)
+
+
+def test_block_svdvals_solves_each_block_alone(monkeypatch):
+    shapes = [(3, 2), (1, 1), (2, 5), (4, 4)]
+    m = _permuted_rect_blocks(np.random.default_rng(7), shapes, 2, 3)
+    solved = []
+    full = np.linalg.svd
+
+    def spy(a, compute_uv=True):
+        solved.append(a.shape)
+        return full(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    block_svdvals(m)
+    assert sorted(solved) == sorted(shapes)
+
+
+def test_block_svdvals_one_block_is_the_full_svd():
+    # the pinned sweep-0 S_OP of both dynamics outputs is this SVD's round-off
+    m = _permuted_rect_blocks(np.random.default_rng(3), [(5, 7)], 3, 2)
+    assert np.array_equal(block_svdvals(m), np.linalg.svd(m, compute_uv=False))
+    rho0 = singlet_product_state(Family.SUN, 3, 6)
+    r = rho0.matrix.reshape(27, 27, 27, 27).transpose(0, 2, 1, 3).reshape(729, 729)
+    assert np.array_equal(block_svdvals(r), np.linalg.svd(r, compute_uv=False))
+
+
+@pytest.mark.parametrize("fam, N, L, LA", ORACLE_CONFIGS)
+def test_block_ose_matches_full_svd_on_stationary_states(fam, N, L, LA):
+    st = stationary_state(CommutantSpec(fam, N, L, LA))
+    dA, dB = N**LA, N**(L - LA)
+    m = st.matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    p = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)**2
+    p = p[p > 1e-24]
+    assert abs(dense_ose(st, LA) - float(-np.sum(p * np.log(p)))) <= 1e-13
+
+
+def test_validate_finds_a_negative_eigenvalue():
+    st = stationary_state(CommutantSpec(Family.SUN, 3, 6, 3))
+    st.validate()
+    i, j = np.flatnonzero(np.diagonal(st.matrix))[:2]
+    bad = st.matrix.copy()
+    bad[i, j] += 0.5  # a Hermitian, trace-preserving 2 x 2 bump: eigenvalues -0.5, +0.5
+    bad[j, i] += 0.5
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DenseState(bad, st.site_dims).validate()
 
 
 @pytest.mark.parametrize("fam, N, L, cut", [(Family.TL, 3, 4, 2), (Family.SUN, 2, 6, 2)])

@@ -52,14 +52,14 @@ def test_traced_pass_sees_every_sector_layer():
         assert calls.get(span, 0) > 0, span
 
 
-def _dynamics_sha256_matches_reference(config, tmp_path):
+def _sha256_matches_reference(subcommand, config, tmp_path):
     # bytes are pinned at one BLAS thread
-    out_file = tmp_path / "traj.csv"
+    out_file = tmp_path / "out.csv"
     code = "import sys; from statent.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     out = subprocess.run(
-        [sys.executable, "-c", code, "dynamics", "--config",
+        [sys.executable, "-c", code, subcommand, "--config",
          os.path.join("configs", config + ".json"), "--output", str(out_file)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
@@ -72,9 +72,15 @@ def _dynamics_sha256_matches_reference(config, tmp_path):
 def test_dynamics_bytes_match_reference(tmp_path):
     # dynamics runs the full-space sweep, whose summation order the pinned
     # output depends on
-    _dynamics_sha256_matches_reference("fig7_dynamics_tl3", tmp_path)
+    _sha256_matches_reference("dynamics", "fig7_dynamics_tl3", tmp_path)
 
 
 def test_dynamics_su3_bytes_match_reference(tmp_path):
-    # N^L = 729: its PT and rho spectra come from many small blocks
-    _dynamics_sha256_matches_reference("fig7_dynamics_su3", tmp_path)
+    # N^L = 729: its PT and rho spectra and its S_OP come from many small
+    # blocks, except at sweep 0, a product state whose S_OP is one full SVD
+    _sha256_matches_reference("dynamics", "fig7_dynamics_su3", tmp_path)
+
+
+def test_haar_bytes_match_reference(tmp_path):
+    # the per-block sums of negativity_fixed_lambda keep their float order
+    _sha256_matches_reference("haar", "fig3_haar_crossings", tmp_path)
