@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -212,64 +211,37 @@ def pf_pattern_count(N: int, M: int) -> int:
     return N * (N - 1) ** (M - 1)
 
 
-@lru_cache(maxsize=None)
-def _pf_walk_counts(N: int, L: int) -> tuple[int, ...]:
-    """W[M] = number of length-L color words whose stack reduction has depth M.
-
-    Reading a word drives a walk on the rooted (N-1)-ary tree of irreducible
-    words: a symbol equal to the stack top pops (1 choice), anything else
-    pushes (N-1 choices off the root, N at the root).  W[M] is the number of
-    length-L walks from the root ending at depth M, summed over all depth-M
-    endpoints.
-    """
-    w = [0] * (L + 1)
-    w[0] = 1
-    for _ in range(L):
-        nxt = [0] * (L + 1)
-        for h, c in enumerate(w):
-            if not c:
-                continue
-            if h > 0:
-                nxt[h - 1] += c
-            nxt[h + 1] += c * (N if h == 0 else N - 1)
-        w = nxt
-    return tuple(w)
-
-
 def pf_sector_dimension(N: int, L: int, M: int) -> int:
     """Number of length-L product states reducing to one fixed M-dot pattern.
 
-    Tree homogeneity makes the count independent of which pattern is fixed,
-    so it is the depth-M walk count divided by the number of depth-M
-    endpoints.  Certified against brute-force enumeration in the oracle
-    tests before being trusted at large L.
+    Tree homogeneity makes the count independent of which pattern is fixed.
+    It is a walk count on the N-regular tree of irreducible color words, in
+    closed form (odd L too): with q = N - 1 and k = (L - M)/2,
+    D_M = sum_{i<=k} q^i [C(L, i) - C(L, i-1)], a prefix sum of ballot numbers.
+    Certified against brute-force enumeration in the oracle tests before
+    being trusted at large L.
     """
     if L < 0 or M < 0 or M > L:
         raise ValueError(f"need 0 <= M <= L, got L={L}, M={M}")
     if (L - M) % 2:
         raise ParityError(f"M={M} has wrong parity for L={L}")
-    total = _pf_walk_counts(N, L)[M]
-    D, rem = divmod(total, pf_pattern_count(N, M))
-    if rem:
-        raise ArithmeticError("PF walk count not divisible by pattern count")
-    return D
+    return sum((N - 1) ** i * (binomial(L, i) - binomial(L, i - 1))
+               for i in range((L - M) // 2 + 1))
 
 
-@lru_cache(maxsize=None)
-def log_pf_sector_dims(N: int, L: int) -> tuple[float, ...]:
-    """log D_M^PF(N)(L) for M = 0..L (log-domain walk DP, -inf off-parity)."""
-    w = np.full(L + 2, -np.inf)
-    w[0] = 0.0
-    push = np.log(np.full(L + 1, N - 1, dtype=float))
-    push[0] = math.log(N)
-    for _ in range(L):
-        nxt = np.full(L + 2, -np.inf)
-        nxt[: L + 1] = np.logaddexp(
-            np.concatenate(([-np.inf], (w[: L + 1] + push)[:-1])),  # pushed from h-1
-            w[1 : L + 2],  # popped from h+1
-        )
-        w = nxt
-    return tuple(w[: L + 1] - IRREPS[Family.PF].log_pc_d(N, np.arange(L + 1))[0])
+def log_pf_sector_dims(N: int, L: int) -> np.ndarray:
+    """log D_M^PF(N)(L) for M = 0..L (-inf off-parity), even L only.
+
+    The prefix sum of pf_sector_dimension in the log domain; its ballot
+    numbers are the spin-(L/2 - i) ballot entry's log_D.
+    """
+    if L % 2:
+        raise ParityError(f"log PF sector dimensions need even L, got L={L}")
+    i = np.arange(L // 2 + 1)
+    out = np.full(L + 1, -np.inf)
+    out[L::-2] = np.logaddexp.accumulate(
+        i * math.log(N - 1) + IRREPS[Family.TL].log_D(N, L, L // 2 - i))
+    return out
 
 
 LG_CHUNK = 2**14
@@ -386,7 +358,7 @@ class PFIrreps(Irreps):
         return pf_sector_dimension(N, ell, M)
 
     def log_D(self, N: int, ell: int, M: np.ndarray) -> np.ndarray:
-        return np.asarray(log_pf_sector_dims(N, ell))[M]
+        return log_pf_sector_dims(N, ell)[M]
 
 
 class SUNIrreps(Irreps):

@@ -620,7 +620,7 @@ def dense_ose(state: DenseState, cut: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pair-flip pattern census (certifies the counting DP)
+# pair-flip pattern census (certifies the closed-form sector counts)
 # ---------------------------------------------------------------------------
 
 def stack_reduce(word) -> tuple[int, ...]:

@@ -202,14 +202,14 @@ def test_criterion_07_pf_certification():
         ok &= log_negativity(secs, D0) == 0.0
         ok &= renyi_negativity(secs, D0, 3) == 0.0
     ratios = []
-    for k in range(6, 13):
+    for k in range(6, 21):
         L = 2**k
         ls = sector_log_arrays(CommutantSpec(Family.PF, 3, L, L // 2))
         ratios.append(operator_space_entanglement_logdomain(ls) / math.sqrt(L))
     steps = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
     settling = all(b < a for a, b in zip(steps, steps[1:])) and all(r > 0 for r in ratios)
     ok &= settling
-    report(7, "PF: DP certified by census; separable; S_OP/sqrt(L) settles", ok,
+    report(7, "PF: closed form certified by census; separable; S_OP/sqrt(L) settles", ok,
            f"{checked} (N,L,M) census sectors; S_OP/sqrt(L) -> {ratios[-1]:.4f}")
 
 

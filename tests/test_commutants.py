@@ -80,6 +80,8 @@ def test_pf_sector_dimensions_small():
             assert pf_sector_dimension(N, L, L) == 1
     with pytest.raises(ParityError):
         pf_sector_dimension(3, 4, 1)
+    with pytest.raises(ParityError):  # the log flavour reads even-L ballot numbers
+        log_pf_sector_dims(3, 7)
 
 
 def test_pf_dp_certified_by_census():
@@ -95,16 +97,41 @@ def test_pf_dp_certified_by_census():
             assert len([p for p in census if len(p) == M]) == pf_pattern_count(N, M)
 
 
+def _pf_walk_counts(N, L):
+    """W[M] = number of length-L color words whose stack reduction has depth M.
+
+    Reading a word drives a walk on the rooted (N-1)-ary tree of irreducible
+    words: a symbol equal to the stack top pops (1 choice), anything else
+    pushes (N-1 choices off the root, N at the root).
+    """
+    w = [1] + [0] * L
+    for _ in range(L):
+        nxt = [0] * (L + 1)
+        for h, c in enumerate(w[:L]):
+            if h > 0:
+                nxt[h - 1] += c
+            nxt[h + 1] += c * (N if h == 0 else N - 1)
+        w = nxt
+    return w
+
+
+def test_pf_closed_form_matches_walk_dp():
+    for N in (2, 3, 4, 5, 7):
+        for L in range(41):
+            walks = _pf_walk_counts(N, L)
+            for M in range(L % 2, L + 1, 2):
+                D, rem = divmod(walks[M], pf_pattern_count(N, M))
+                assert rem == 0 and pf_sector_dimension(N, L, M) == D, (N, L, M)
+
+
 def test_pf_census_totals():
     for N in (2, 3, 4):
-        for L in range(2, 13, 2):
-            if N**L > 10**6:
-                continue
+        for L in [*range(2, 13, 2), 64, 257, 1000]:
             tot = sum(
                 pf_pattern_count(N, M) * pf_sector_dimension(N, L, M)
-                for M in range(0, L + 1, 2)
+                for M in range(L % 2, L + 1, 2)
             )
-            assert tot == N**L
+            assert tot == N**L, (N, L)
 
 
 def test_commutant_dimension_examples():
@@ -237,6 +264,24 @@ def test_log_pf_dims_large_consistent():
     exact = [pf_sector_dimension(3, 64, M) for M in range(0, 65, 2)]
     for M, e in zip(range(0, 65, 2), exact):
         assert logs[M] == pytest.approx(math.log(e), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_pf_dims_accurate_at_4096(N):
+    # exact logs of the running integer prefix sum D_M = sum_{i <= (L-M)/2} q^i B_i,
+    # with the ballot numbers B_i = C(L, i) - C(L, i-1) from running binomials
+    L, q = 4096, N - 1
+    logs = log_pf_sector_dims(N, L)
+    D, prefix, prev, c = 0, {}, 0, 1
+    for i in range(L // 2 + 1):
+        D += q**i * (c - prev)
+        prev, c = c, c * (L - i) // (i + 1)
+        prefix[L - 2 * i] = D
+        want = math.log(D)
+        assert abs(logs[L - 2 * i] - want) <= 1e-12 * want, (N, L - 2 * i)
+    assert np.all(np.isneginf(logs[L - 1::-2]))
+    for M in (0, 2048, 4096):
+        assert pf_sector_dimension(N, L, M) == prefix[M]
 
 
 def test_lg_is_math_lgamma_bit_for_bit():

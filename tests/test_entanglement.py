@@ -273,9 +273,12 @@ def test_log_backend_reach_one_million():
         import json, resource, time
         from statent import CommutantSpec, Family, compute_report
         t0 = time.perf_counter()
-        E_N = {f"{f.value}{N}": compute_report(CommutantSpec(f, N, 10**6, 5 * 10**5)).E_N
-               for f, N in ((Family.U1, 2), (Family.SUN, 2), (Family.TL, 3))}
-        print(json.dumps({"E_N": E_N, "wall_s": time.perf_counter() - t0,
+        reps = {f"{f.value}{N}": compute_report(CommutantSpec(f, N, 10**6, 5 * 10**5))
+                for f, N in ((Family.U1, 2), (Family.SUN, 2), (Family.TL, 3), (Family.PF, 3))}
+        E_N = {k: r.E_N for k, r in reps.items()}
+        pf = reps["pf3"]
+        print(json.dumps({"E_N": E_N, "pf_S_OP": [pf.S_OP, pf.bounds.s_op],
+                          "wall_s": time.perf_counter() - t0,
                           "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
     """)
     src = os.path.dirname(os.path.dirname(statent.__file__))
@@ -287,6 +290,8 @@ def test_log_backend_reach_one_million():
     assert got["E_N"]["u12"] == 0.0
     assert got["E_N"]["sun2"] == pytest.approx(0.5 * math.log(10**6), abs=0.5)
     assert got["E_N"]["tl3"] / 10**6 == pytest.approx(0.1116, abs=1e-3)  # Read-Saleur volume law
+    assert got["E_N"]["pf3"] == 0.0
+    assert got["pf_S_OP"][0] <= got["pf_S_OP"][1]
 
 
 def test_sun_bounds_refuse_too_many_partitions():
