@@ -308,7 +308,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     spec = make_spec(cfg, cfg.L)
     ks = oracle.build_kraus(spec.family, spec.N, spec.L, dim_cap=cfg.dim_cap)
     rho0 = oracle.singlet_product_state(spec.family, spec.N, spec.L)
-    st = oracle.channel_fixed_point(ks, rho0, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
+    st = oracle.orbit_state(ks, rho0, tol=cfg.tol)
     rep = compute_report(spec, renyi_orders=(3, 4), rtilde_orders=(1.5,), backend="exact")
     cut = spec.L_A
     closed = {"en": rep.E_N, "r3": rep.R[3], "r4": rep.R[4], "rt1.5": rep.R_tilde[1.5],
@@ -470,8 +470,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", type=int)
         sp.add_argument("--lambda-max", dest="lambda_max", type=int)
         sp.add_argument("--backend", choices=typing.get_args(Backend))
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--max-sweeps", dest="max_sweeps", type=int)
+        sp.add_argument("--tol", type=float,
+                        help="oracle: largest defect one sweep may leave on its state; "
+                             "dynamics: sweep until the defect falls below it")
+        sp.add_argument("--max-sweeps", dest="max_sweeps", type=int,
+                        help="sweep limit of dynamics, at most 100000 (oracle builds its state "
+                             "without sweeps)")
         sp.add_argument("--dim-cap", dest="dim_cap", type=int)
         sp.add_argument("--log2", action="store_const", const=True,
                         help="display in bits instead of nats")

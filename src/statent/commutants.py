@@ -225,8 +225,11 @@ def pf_sector_dimension(N: int, L: int, M: int) -> int:
         raise ValueError(f"need 0 <= M <= L, got L={L}, M={M}")
     if (L - M) % 2:
         raise ParityError(f"M={M} has wrong parity for L={L}")
-    return sum((N - 1) ** i * (binomial(L, i) - binomial(L, i - 1))
-               for i in range((L - M) // 2 + 1))
+    total, c_prev, c, q_i = 0, 0, 1, 1  # c_prev, c = C(L, i-1), C(L, i); q_i = q^i
+    for i in range((L - M) // 2 + 1):
+        total += q_i * (c - c_prev)
+        c_prev, c, q_i = c, c * (L - i) // (i + 1), q_i * (N - 1)
+    return total
 
 
 def log_pf_sector_dims(N: int, L: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Brute-force ground truth on small chains.
 
-Builds the local Kraus channels for each family, iterates the composite
-channel to its fixed point on the basis states the seed can reach, and
-computes every entanglement quantity straight from the full dense density
+Builds the local Kraus channels for each family, finds the stationary state
+as the projector onto the seed's orbit under the Kraus operators (checked by
+one sweep of the channel; mixed seeds iterate the sweep to its fixed point),
+and computes every entanglement quantity straight from the full dense density
 matrix (its spectra one connected block of nonzeros at a time, which a
 conserved charge makes small).  Nothing here knows about sector data: this is
 the independent side of the dual-route check that certifies the closed forms
@@ -342,6 +343,27 @@ def _sweeps(sweep_map, rho: np.ndarray, tol: float, max_sweeps: int):
     raise NoConvergence(f"no convergence within {max_sweeps} sweeps (defect {defect:.3e})")
 
 
+def _restricted_channels(kraus: KrausSet, S: np.ndarray) -> list[list[np.ndarray]]:
+    """Every channel's Kraus operators restricted to the basis states S (see restrict_local)."""
+    return [[restrict_local(K, ch.sites, S, kraus.N, kraus.L) for K in ch.ops]
+            for ch in kraus.channels]
+
+
+def _restricted_sweep(channels: list[list[np.ndarray]], r: np.ndarray) -> np.ndarray:
+    """One sweep of restricted channels: r -> sum_K K r K^dag, channel by channel in order."""
+    for ops in channels:
+        r = sum(K[:, None] * r * K.conj() if K.ndim == 1 else K @ r @ K.conj().T
+                for K in ops)
+    return r
+
+
+def _embed(block: np.ndarray, S: np.ndarray, rho0: DenseState) -> DenseState:
+    """The m x m block over the basis states S as a full N^L x N^L state, zero elsewhere."""
+    full = np.zeros(rho0.matrix.shape, dtype=block.dtype)
+    full[np.ix_(S, S)] = block
+    return DenseState(full, list(rho0.site_dims))
+
+
 def channel_fixed_point(
     kraus: KrausSet,
     rho0: DenseState,
@@ -353,23 +375,61 @@ def channel_fixed_point(
     The sweep runs on the m x m block over the reachable basis states S (see
     reachable_states), applying each channel in order as rho -> sum_K K rho K^dag
     with K restricted to S; the converged block is embedded back into a full
-    N^L x N^L matrix, which is exactly zero outside S x S.
+    N^L x N^L matrix, which is exactly zero outside S x S.  Takes any seed,
+    mixed ones included; orbit_state is the sweep-free route for a pure seed.
     """
     S = reachable_states(kraus, rho0.matrix)
-    channels = [[restrict_local(K, ch.sites, S, kraus.N, kraus.L) for K in ch.ops]
-                for ch in kraus.channels]
-
-    def sweep_map(r: np.ndarray) -> np.ndarray:
-        for ops in channels:
-            r = sum(K[:, None] * r * K.conj() if K.ndim == 1 else K @ r @ K.conj().T
-                    for K in ops)
-        return r
-
-    for _, block, _ in _sweeps(sweep_map, _start(rho0.matrix[np.ix_(S, S)]), tol, max_sweeps):
+    channels = _restricted_channels(kraus, S)
+    for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r),
+                               _start(rho0.matrix[np.ix_(S, S)]), tol, max_sweeps):
         pass
-    full = np.zeros(rho0.matrix.shape, dtype=block.dtype)
-    full[np.ix_(S, S)] = block
-    return DenseState(full, list(rho0.site_dims))
+    return _embed(block, S, rho0)
+
+
+def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseState:
+    """The fixed point reached from a pure seed |psi>: P / rank P, without sweeping.
+
+    P projects onto the orbit of psi under the algebra the Kraus operators
+    generate.  A seed in a sector of multiplicity one (every
+    singlet_product_state) spans that whole sector under the algebra, so P
+    is the sector projector and P / rank P the fixed point the sweep
+    converges to.  The orbit is closed block by block on the reachable basis
+    states S: apply every restricted operator to the newest orthonormal
+    columns, project out the span V found so far (twice), and keep the left
+    singular vectors of the result above 1e-10 x max(1, s_max), until a block
+    adds nothing or V spans all of S (P is then the identity on S).  Reads
+    only the Kraus matrices, never sector data.
+
+    One restricted sweep checks the result: NoConvergence if it moves the
+    state by more than tol (Frobenius norm).  Raises ValueError for a seed
+    that is not rank one on S; channel_fixed_point takes mixed seeds.
+    """
+    S = reachable_states(kraus, rho0.matrix)
+    channels = _restricted_channels(kraus, S)
+    seed = _start(rho0.matrix[np.ix_(S, S)])
+    i = int(np.argmax(np.diagonal(seed).real))
+    psi = seed[:, i] / math.sqrt(seed[i, i].real)
+    if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
+        raise ValueError("orbit_state needs a pure seed; use channel_fixed_point")
+    ops = [K for ch in channels for K in ch]
+    V = new = psi[:, None] / np.linalg.norm(psi)
+    while new.shape[1] and V.shape[1] < len(S):
+        W = np.concatenate([K[:, None] * new if K.ndim == 1 else K @ new for K in ops], axis=1)
+        for _ in range(2):
+            W -= V @ (V.conj().T @ W)
+        # W = R^T Q^T, so R^T has W's left singular vectors without W's wide right factor
+        R = np.linalg.qr(W.T, mode="r")
+        u, s, _ = np.linalg.svd(R.T, full_matrices=False)
+        new = u[:, s > 1e-10 * max(1.0, s[0])]
+        V = np.concatenate((V, new), axis=1)
+    rank = V.shape[1]
+    # a full-rank V V^T is the identity up to round-off; the exact one keeps the
+    # zeros that split the block spectra (U(1) and PF orbits fill S)
+    block = np.eye(len(S)) / rank if rank == len(S) else V @ V.conj().T / rank
+    defect = float(np.linalg.norm(_restricted_sweep(channels, block) - block))
+    if defect > tol:
+        raise NoConvergence(f"orbit state moves by {defect:.3e} in one sweep (tol {tol:.1e})")
+    return _embed(block, S, rho0)
 
 
 def iterate_with_trajectory(
@@ -469,10 +529,10 @@ def _perm_sign(perm) -> float:
 
 
 def stationary_state(spec: CommutantSpec, tol: float = 1e-12) -> DenseState:
-    """Fixed point reached from the singlet product state (= Pi^0 / D_0)."""
+    """Fixed point reached from the singlet product state (= Pi^0 / D_0), see orbit_state."""
     kraus = build_kraus(spec.family, spec.N, spec.L)
     rho0 = singlet_product_state(spec.family, spec.N, spec.L)
-    return channel_fixed_point(kraus, rho0, tol=tol)
+    return orbit_state(kraus, rho0, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,13 @@ def test_oracle_pass_and_cap(capsys):
     assert "resource cap" in err
 
 
+def test_oracle_takes_no_sweeps(capsys):
+    # the oracle's state comes from the orbit closure; --max-sweeps bounds only dynamics
+    code, out, _ = run_cli(["oracle", "--family", "su2", "--L", "4", "--max-sweeps", "1"], capsys)
+    assert code == 0
+    assert out.count("PASS") == 5
+
+
 def test_haar_emits_points_and_crossing(capsys):
     code, out, _ = run_cli(
         ["haar", "--family", "su2", "--L-list", "12,16", "--samples", "25", "--seed", "3"],

@@ -21,6 +21,9 @@ from statent.entanglement import (
 from statent.oracle import (
     BadCut,
     DenseState,
+    KrausSet,
+    LocalChannel,
+    NoConvergence,
     TooLarge,
     block_eigvalsh,
     block_svdvals,
@@ -33,6 +36,7 @@ from statent.oracle import (
     dense_renyi_negativity,
     embed_local,
     iterate_with_trajectory,
+    orbit_state,
     partial_transpose,
     pf_pattern_census,
     pt_eigenvalues,
@@ -317,6 +321,42 @@ def test_mixed_seed_reaches_same_fixed_point():
     # both stop at a defect of 1e-12, so each sits within about
     # 1e-12 / (1 - contraction rate) of the exact fixed point
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("fam, N, L, LA", [*ORACLE_CONFIGS, (Family.SUN, 2, 10, 4)])
+def test_orbit_state_matches_fixed_point(fam, N, L, LA):
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L)
+    st = orbit_state(ks, rho0)
+    st.validate()
+    assert np.max(np.abs(st.matrix - channel_fixed_point(ks, rho0).matrix)) <= 1e-11
+    assert np.linalg.norm(orc.apply_sweep(st.matrix, ks) - st.matrix) <= 1e-12
+    # the orbit of a singlet seed spans the whole singlet sector: rho = Pi^0 / D_0
+    D0 = singlet_dimension(CommutantSpec(fam, N, L, LA))
+    lam = rho_spectrum(st)
+    assert np.count_nonzero(lam) == D0
+    assert np.max(np.abs(lam[lam != 0] - 1.0 / D0)) <= 1e-13
+
+
+def test_orbit_state_refuses_mixed_seed():
+    L = 6
+    neel = singlet_product_state(Family.U1, 2, L)
+    i = int(np.flatnonzero(np.diag(neel.matrix))[0])
+    mixed = np.array(neel.matrix) / 2
+    mixed[2**L - 1 - i, 2**L - 1 - i] = 0.5  # the Neel state's mirror
+    with pytest.raises(ValueError, match="pure seed"):
+        orbit_state(build_kraus(Family.U1, 2, L), DenseState(mixed, [2] * L))
+
+
+def test_orbit_state_sweep_check_catches_non_unital_channel():
+    # amplitude damping: the orbit of |1> is the whole qubit, but the fixed
+    # point is |0><0|, not 1/2; one sweep moves 1/2 by 0.25 sqrt(2)
+    damp = LocalChannel((0,), [np.diag([1.0, math.sqrt(0.5)]),
+                               np.array([[0.0, math.sqrt(0.5)], [0.0, 0.0]])])
+    ks = KrausSet(Family.U1, 2, 1, [damp])
+    assert ks.completeness_defect <= 1e-15
+    with pytest.raises(NoConvergence, match="one sweep"):
+        orbit_state(ks, DenseState(np.diag([0.0, 1.0]), [2]))
 
 
 def test_oracle_certifies_su2_L10():
