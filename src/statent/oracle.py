@@ -394,11 +394,12 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     singlet_product_state) spans that whole sector under the algebra, so P
     is the sector projector and P / rank P the fixed point the sweep
     converges to.  The orbit is closed block by block on the reachable basis
-    states S: apply every restricted operator to the newest orthonormal
-    columns, project out the span V found so far (twice), and keep the left
-    singular vectors of the result above 1e-10 x max(1, s_max), until a block
-    adds nothing or V spans all of S (P is then the identity on S).  Reads
-    only the Kraus matrices, never sector data.
+    states S: apply every restricted operator that is not a constant
+    diagonal to the newest orthonormal columns, project out the span V found
+    so far (twice), and keep the left singular vectors of the result above
+    1e-10 x max(1, s_max), until a block adds nothing or V spans all of S (P
+    is then the identity on S).  Reads only the Kraus matrices, never sector
+    data.
 
     One restricted sweep checks the result: NoConvergence if it moves the
     state by more than tol (Frobenius norm).  Raises ValueError for a seed
@@ -411,7 +412,9 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     psi = seed[:, i] / math.sqrt(seed[i, i].real)
     if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
         raise ValueError("orbit_state needs a pure seed; use channel_fixed_point")
-    ops = [K for ch in channels for K in ch]
+    # a constant diagonal (the lazy r*1 part of a U(1) or PF bond channel)
+    # maps the span into itself; the checking sweep still applies it
+    ops = [K for ch in channels for K in ch if K.ndim == 2 or np.any(K != K[0])]
     V = new = psi[:, None] / np.linalg.norm(psi)
     while new.shape[1] and V.shape[1] < len(S):
         W = np.concatenate([K[:, None] * new if K.ndim == 1 else K @ new for K in ops], axis=1)

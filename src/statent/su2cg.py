@@ -199,6 +199,36 @@ def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
     return tuple(rows)
 
 
+def _check_weights(weights) -> None:
+    tot = math.fsum(weights)
+    if abs(tot - 1.0) > 1e-12:
+        raise WeightError(f"sector weights sum to {tot!r}, not 1")
+
+
+def _trace_norms(L: int, L_A: int, ts: list[int], pref: np.ndarray) -> np.ndarray:
+    """||rho^T_B||_1 for each row of pref, whose column j holds p_t / D_t for t = ts[j].
+
+    The CG rows of each (lam_a, lam_b) block are summed over ts in order, so
+    the lambda_tot sum sits inside |.|, and the blocks are added to the
+    totals in order of first appearance over ts.  One block is live at a
+    time, as a (rows x block size) matrix.  Each row gets the float
+    operations of a lone row: the products and sums are elementwise, and
+    np.sum over the last axis of a C-contiguous row is the same pairwise sum
+    as np.sum of the flat block.
+    """
+    blocks: dict[tuple[int, int], list] = {}
+    for j, t in enumerate(ts):
+        for la, lb, dims, cc in _cg_float_table(L, L_A, t):
+            blocks.setdefault((la, lb), [float(dims)]).append((j, cc.reshape(1, -1)))
+    total = np.zeros(pref.shape[0])
+    for dims, (j, cc), *rest in blocks.values():
+        w = pref[:, j:j + 1] * cc
+        for j, cc in rest:
+            w += pref[:, j:j + 1] * cc
+        total += dims * np.sum(np.abs(w), axis=1)
+    return total
+
+
 def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     """log negativity of rho = sum_t p_t Pi^(t)_{m=0} / D_t across the cut L_A.
 
@@ -207,29 +237,19 @@ def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     lambda_tot sum, which is what makes the full-m_tot=0 Dirichlet-mean
     mixture come out separable (it reduces to the U(1) state by CG
     orthonormality).  For weight on a single sector this is identical to
-    summing |c_m c_m'| per sector.
+    summing |c_m c_m'| per sector.  Sectors of weight zero are left out, and
+    the rest keep the order of p.  This is the one-row case of the block
+    evaluation haar_average_negativity runs on all draws at once, with the
+    same float operations.
     """
     if L % 2 or L_A % 2 or (L - L_A) % 2:
         raise ValueError("need even L, L_A, L_B")
-    tot = math.fsum(p.values())
-    if abs(tot - 1.0) > 1e-12:
-        raise WeightError(f"sector weights sum to {tot!r}, not 1")
+    _check_weights(p.values())
     pref = {
         t: w / su2_sector_dim(L, t) for t, w in p.items() if w != 0.0
     }
-    # sum the CG rows per (lam_a, lam_b) block so the lambda_tot sum sits inside |.|
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for t, weight in pref.items():
-        for la, lb, dims, cc in _cg_float_table(L, L_A, t):
-            key = (la, lb, dims)
-            if key in blocks:
-                blocks[key] += weight * cc
-            else:
-                blocks[key] = weight * cc
-    total = 0.0
-    for (_, _, dims), w in blocks.items():
-        total += dims * float(np.sum(np.abs(w)))
-    return math.log(total)
+    total = _trace_norms(L, L_A, list(pref), np.array([list(pref.values())]))
+    return math.log(float(total[0]))
 
 
 @dataclass(frozen=True)
@@ -269,21 +289,27 @@ def haar_average_negativity(spec: HaarEnsembleSpec) -> tuple[float, float]:
     A complex-Gaussian vector on the direct sum of m_tot=0 sectors puts
     Gamma(shape D_lambda) weight on sector lambda, so p is Dirichlet with
     concentrations D_lambda; the 2^L-dimensional vector itself is never
-    materialized.
+    materialized.  All draws are evaluated together, one (lam_a, lam_b)
+    block at a time (see _trace_norms).  Each draw gets the same float
+    operations as its own negativity_fixed_lambda call, so the values and
+    the CLI output bytes are those of a loop over the draws.
     """
     spec.validate()
-    lams = list(range(spec.lambda_max + 1))
+    L, L_A = spec.L, spec.cut()
     if spec.lambda_max == 0:
         # degenerate ensemble: every draw is the singlet stationary state
-        val = negativity_fixed_lambda(spec.L, spec.cut(), {0: 1.0})
+        val = negativity_fixed_lambda(L, L_A, {0: 1.0})
         return val, 0.0
-    dims = np.array([float(su2_sector_dim(spec.L, t)) for t in lams])
-    vals = np.empty(spec.samples)
-    for i in range(spec.samples):
-        w = _draw_weights(spec, i, dims)
-        vals[i] = negativity_fixed_lambda(
-            spec.L, spec.cut(), {t: float(w[j]) for j, t in enumerate(lams)}
-        )
+    lams = list(range(spec.lambda_max + 1))
+    dims = np.array([float(su2_sector_dim(L, t)) for t in lams])
+    P = np.array([_draw_weights(spec, i, dims) for i in range(spec.samples)])
+    for row in P:
+        _check_weights(row)
+    vals = np.array([math.log(x) for x in _trace_norms(L, L_A, lams, P / dims).tolist()])
+    # a zero weight drops its sector from negativity_fixed_lambda, which can
+    # reorder the blocks; such a draw takes that call to keep its bits
+    for i in np.flatnonzero((P == 0.0).any(axis=1)):
+        vals[i] = negativity_fixed_lambda(L, L_A, dict(zip(lams, P[i].tolist())))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0
     return mean, stderr

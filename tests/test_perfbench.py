@@ -5,11 +5,14 @@ or drops one of them would otherwise only lose a per-layer metric quietly.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,35 +55,53 @@ def test_traced_pass_sees_every_sector_layer():
         assert calls.get(span, 0) > 0, span
 
 
-def _sha256_matches_reference(subcommand, config, tmp_path):
-    # bytes are pinned at one BLAS thread
-    out_file = tmp_path / "out.csv"
+# perfbench's item generator, loaded from its file rather than put on sys.path
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+HAAR_ITEM = {"op": "cli", "config": "fig3_haar_crossings", "shift": 0}
+
+
+def _sha256_matches_reference(config, tmp_path, shift=0):
+    # runs the benchmark's own command line for this cli item; bytes are
+    # pinned at one BLAS thread
+    item = workloads.with_cli_argv({"op": "cli", "config": config, "shift": shift},
+                                   ROOT, str(tmp_path))
     code = "import sys; from statent.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     out = subprocess.run(
-        [sys.executable, "-c", code, subcommand, "--config",
-         os.path.join("configs", config + ".json"), "--output", str(out_file)],
+        [sys.executable, "-c", code, *item["argv"]],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
-        want = json.load(fh)[f"cli/{config}/0"]["sha256"]
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want
+        want = json.load(fh)[workloads.item_key(item)]["sha256"]
+    with open(item["out"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == want
 
 
 def test_dynamics_bytes_match_reference(tmp_path):
     # dynamics runs the full-space sweep, whose summation order the pinned
     # output depends on
-    _sha256_matches_reference("dynamics", "fig7_dynamics_tl3", tmp_path)
+    _sha256_matches_reference("fig7_dynamics_tl3", tmp_path)
 
 
 def test_dynamics_su3_bytes_match_reference(tmp_path):
     # N^L = 729: its PT and rho spectra and its S_OP come from many small
     # blocks, except at sweep 0, a product state whose S_OP is one full SVD
-    _sha256_matches_reference("dynamics", "fig7_dynamics_su3", tmp_path)
+    _sha256_matches_reference("fig7_dynamics_su3", tmp_path)
 
 
 def test_haar_bytes_match_reference(tmp_path):
-    # the per-block sums of negativity_fixed_lambda keep their float order
-    _sha256_matches_reference("haar", "fig3_haar_crossings", tmp_path)
+    # all draws of one lambda_max are evaluated together and must keep each
+    # draw's float operations
+    _sha256_matches_reference("fig3_haar_crossings", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "shift", [v["shift"] for v in workloads.item_variants(HAAR_ITEM) if v["shift"]])
+def test_haar_shifted_seed_bytes_match_reference(tmp_path, shift):
+    # the other Haar seeds the benchmark can draw
+    _sha256_matches_reference("fig3_haar_crossings", tmp_path, shift)

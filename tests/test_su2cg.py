@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from statent import su2cg
 from statent.commutants import su2_sector_dim
 from statent.su2cg import (
     HaarEnsembleSpec,
@@ -93,6 +95,47 @@ def test_weight_error():
 def test_haar_fixed_seed_bit_identical():
     spec = HaarEnsembleSpec(L=12, lambda_max=4, samples=25, seed=99)
     assert haar_average_negativity(spec) == haar_average_negativity(spec)
+
+
+def _per_draw_reference(spec):
+    # the ensemble as one negativity_fixed_lambda call per draw
+    lams = list(range(spec.lambda_max + 1))
+    dims = np.array([float(su2_sector_dim(spec.L, t)) for t in lams])
+    vals = np.empty(spec.samples)
+    for i in range(spec.samples):
+        w = su2cg._draw_weights(spec, i, dims)
+        vals[i] = negativity_fixed_lambda(
+            spec.L, spec.cut(), {t: float(w[j]) for j, t in enumerate(lams)}
+        )
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0
+    return mean, stderr
+
+
+@pytest.mark.parametrize("L, L_A", [(12, None), (16, None), (20, None), (20, 8)])
+def test_haar_batch_bit_identical_to_per_draw_loop(L, L_A):
+    # lambda_max = 0 is the degenerate ensemble, see test_haar_degenerate_ensemble
+    for lam in range(1, L // 2 + 1):
+        for samples in (1, 2, 37):
+            spec = HaarEnsembleSpec(L=L, lambda_max=lam, samples=samples, seed=lam, L_A=L_A)
+            assert haar_average_negativity(spec) == _per_draw_reference(spec), (lam, samples)
+
+
+def test_haar_zero_weight_draw_keeps_its_bits(monkeypatch):
+    # a zero weight drops its sector, and with it the blocks only that sector
+    # opens, from negativity_fixed_lambda's block order
+    spec = HaarEnsembleSpec(L=16, lambda_max=3, samples=3, seed=1)
+    rows = [np.array([0.0, 0.3, 0.3, 0.4]), np.array([0.1, 0.2, 0.3, 0.4]),
+            np.array([0.5, 0.0, 0.5, 0.0])]
+    monkeypatch.setattr(su2cg, "_draw_weights", lambda spec, i, dims: rows[i])
+    assert haar_average_negativity(spec) == _per_draw_reference(spec)
+
+
+def test_haar_weight_check_fires_on_batched_path(monkeypatch):
+    monkeypatch.setattr(su2cg, "_draw_weights",
+                        lambda spec, i, dims: np.full(len(dims), 0.9 / len(dims)))
+    with pytest.raises(WeightError):
+        haar_average_negativity(HaarEnsembleSpec(L=12, lambda_max=3, samples=1, seed=0))
 
 
 def test_haar_degenerate_ensemble():
