@@ -246,25 +246,35 @@ def _channel_superop(ch: LocalChannel) -> np.ndarray:
     return S
 
 
-def _apply_superop(rho: np.ndarray, sites: tuple[int, ...], S: np.ndarray,
-                   N: int, L: int) -> np.ndarray:
-    j = sites[0]
-    w = len(sites)
-    d = N**w
-    A = N**j
-    B = N ** (L - j - w)
-    r = rho.reshape(A, d, B, A, d, B)
-    x = np.ascontiguousarray(r.transpose(1, 4, 0, 2, 3, 5)).reshape(d * d, -1)
-    y = (S @ x).reshape(d, d, A, B, A, B)
-    del x  # so the output copy below is not a fourth full-size array alive at once
-    return np.ascontiguousarray(y.transpose(2, 0, 3, 4, 1, 5)).reshape(rho.shape)
+def _superop_on_block(block: np.ndarray, states: np.ndarray, sites: tuple[int, ...],
+                      S: np.ndarray, N: int, L: int) -> np.ndarray:
+    """S on the block over `states`: the full-space GEMM, with only the context
+    pairs (states of the other sites) that occur in `states` as columns."""
+    d = N ** len(sites)
+    B = N ** (L - sites[0] - len(sites))
+    loc = states // B % d
+    ctx, ci = np.unique(states // (B * d) * B + states % B, return_inverse=True)
+    rows = loc[:, None] * d + loc[None, :]
+    cols = ci[:, None] * len(ctx) + ci[None, :]
+    x = np.zeros((d * d, len(ctx) ** 2), dtype=block.dtype)
+    x[rows, cols] = block
+    return (S @ x)[rows, cols]
 
 
 def apply_sweep(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    """One full sweep of the composite channel (see KrausSet.plan for order)."""
+    """One full sweep of the composite channel (see KrausSet.plan for order).
+
+    Runs on the block over reachable_states and embeds it in a zero matrix,
+    bit for bit the full-space sweep: each entry kept is the same dot product
+    over the same inputs less exact zeros, and the reachable set is closed.
+    """
+    states = reachable_states(kraus, rho)
+    block = rho[np.ix_(states, states)]
     for sites, S in kraus.plan:
-        rho = _apply_superop(rho, sites, S, kraus.N, kraus.L)
-    return rho
+        block = _superop_on_block(block, states, sites, S, kraus.N, kraus.L)
+    out = np.zeros(rho.shape, dtype=block.dtype)
+    out[np.ix_(states, states)] = block
+    return out
 
 
 def reachable_states(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -444,8 +454,9 @@ def iterate_with_trajectory(
 ) -> tuple[DenseState, list[dict]]:
     """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect).
 
-    Runs the full-space apply_sweep, whose summation order the pinned
-    dynamics outputs depend on.  Each row solves one PT and one rho spectrum.
+    Sweeps through the module-global apply_sweep (which a tracer may wrap), whose
+    summation order the pinned dynamics outputs depend on.  Each row solves one
+    PT and one rho spectrum.
     """
 
     def row(sweep: int, rho: np.ndarray, defect: float) -> dict:

@@ -285,11 +285,80 @@ def test_reachable_set_sizes():
     assert size(Family.PF, 3, 6) == pf_pattern_census(3, 6)[()]
 
 
+def _full_space_sweep(rho, ks):
+    # the reference sweep: each plan step on the whole N^L x N^L matrix, as
+    # one GEMM over the local pair index with every context pair a column
+    N, L = ks.N, ks.L
+    for sites, S in ks.plan:
+        j, w = sites[0], len(sites)
+        d, A, B = N**w, N**j, N ** (L - j - w)
+        r = rho.reshape(A, d, B, A, d, B)
+        x = np.ascontiguousarray(r.transpose(1, 4, 0, 2, 3, 5)).reshape(d * d, -1)
+        y = (S @ x).reshape(d, d, A, B, A, B)
+        rho = np.ascontiguousarray(y.transpose(2, 0, 3, 4, 1, 5)).reshape(rho.shape)
+    return rho
+
+
+def _sweep_seeds(fam, N, L):
+    # the singlet seed, a complex Hermitian state on its reachable states, the
+    # maximally mixed state and (U(1)) a 0.3/0.7 mix of Neel and its mirror
+    ks = build_kraus(fam, N, L)
+    seed = singlet_product_state(fam, N, L).matrix
+    S = reachable_states(ks, seed)
+    a = np.random.default_rng(L).normal(size=(len(S), len(S), 2)) @ [1, 1j]
+    herm = np.zeros(seed.shape, dtype=complex)
+    herm[np.ix_(S, S)] = (a + a.conj().T) / 2
+    seeds = [seed, herm, np.eye(N**L) / N**L]
+    if fam == Family.U1:
+        i = int(np.flatnonzero(np.diagonal(seed))[0])
+        mix = 0.3 * seed
+        mix[2**L - 1 - i, 2**L - 1 - i] = 0.7
+        seeds.append(mix)
+    return ks, seeds
+
+
+@pytest.mark.parametrize("fam, N, L", [
+    (Family.SUN, 3, 6), (Family.SUN, 2, 8), (Family.TL, 3, 4), (Family.TL, 3, 6),
+    (Family.TL, 4, 4), (Family.U1, 2, 6), (Family.U1, 2, 8), (Family.PF, 3, 4),
+    (Family.PF, 3, 6)])
+def test_sweep_on_block_is_the_full_space_sweep(fam, N, L):
+    ks, seeds = _sweep_seeds(fam, N, L)
+    for seed in seeds:
+        want = got = seed
+        for _ in range(6):
+            rho, kept = got, got.copy()
+            want, got = _full_space_sweep(want, ks), orc.apply_sweep(rho, ks)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert np.array_equal(rho, kept)
+            S = reachable_states(ks, rho)
+            outside = np.ones(got.shape, dtype=bool)
+            outside[np.ix_(S, S)] = False
+            assert not np.any(got[outside])
+
+
+def test_sweep_maps_zero_to_zero():
+    zero = np.zeros((3**4, 3**4))
+    got = orc.apply_sweep(zero, build_kraus(Family.TL, 3, 4))
+    assert got.shape == zero.shape and not np.any(got)
+
+
+def test_trajectory_sweeps_through_the_module_global(monkeypatch):
+    # perfbench traces the sweep by replacing orc.apply_sweep: every sweep of
+    # a dynamics run must go through that name
+    calls = []
+    sweep = orc.apply_sweep
+    monkeypatch.setattr(orc, "apply_sweep", lambda rho, ks: calls.append(1) or sweep(rho, ks))
+    ks = build_kraus(Family.TL, 3, 4)
+    _, rows = iterate_with_trajectory(ks, singlet_product_state(Family.TL, 3, 4), 2)
+    assert len(calls) == len(rows) - 1 > 0
+
+
 def _plain_fixed_point(ks, rho0, tol=1e-12):
-    # the full-space reference: iterate apply_sweep on the whole N^L x N^L matrix
+    # the full-space reference: iterate the full-space sweep on the whole
+    # N^L x N^L matrix, without reachable_states
     rho = rho0.matrix
     while True:
-        nxt = orc.apply_sweep(rho, ks)
+        nxt = _full_space_sweep(rho, ks)
         defect = np.linalg.norm(nxt - rho)
         rho = nxt
         if defect <= tol:

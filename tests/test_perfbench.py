@@ -83,14 +83,15 @@ def _sha256_matches_reference(config, tmp_path, shift=0):
 
 
 def test_dynamics_bytes_match_reference(tmp_path):
-    # dynamics runs the full-space sweep, whose summation order the pinned
-    # output depends on
+    # dynamics runs the full-space sweep's GEMMs on the reachable block only,
+    # which keeps the summation order the pinned output depends on
     _sha256_matches_reference("fig7_dynamics_tl3", tmp_path)
 
 
 def test_dynamics_su3_bytes_match_reference(tmp_path):
-    # N^L = 729: its PT and rho spectra and its S_OP come from many small
-    # blocks, except at sweep 0, a product state whose S_OP is one full SVD
+    # N^L = 729: each sweep runs on the 90 reachable states, and its PT and
+    # rho spectra and its S_OP come from many small blocks, except at sweep 0,
+    # a product state whose S_OP is one full SVD
     _sha256_matches_reference("fig7_dynamics_su3", tmp_path)
 
 
