@@ -150,6 +150,8 @@ def predicted_law(family: Family, N: int, quantity: str, n: float | None = None)
                 raise Unsupported("rtilde law needs the index n")
             if n < 2:
                 return ScalingLaw("linear", tl_linear_coefficient(N, n), None, kind="lower_bound")
+            if n == 2:
+                raise Unsupported("TL rtilde law undefined at n = 2")
             return ScalingLaw("log", 1.5 / (n - 2.0), None, kind="upper_bound")
     raise Unsupported(f"no law for family={family.value}, N={N}, quantity={quantity}")
 

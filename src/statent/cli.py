@@ -70,7 +70,7 @@ class RunConfig:
     lambda_max: int | None = None
     backend: Backend = "auto"
     tol: float = 1e-12
-    max_sweeps: int = 1_000_000
+    max_sweeps: int = 100_000
     dim_cap: int = oracle.DEFAULT_DIM_CAP
     log2: bool = False
     timing: bool = False
@@ -536,7 +536,12 @@ def build_config(argv) -> RunConfig:
         if not _fits(value, hint := hints[key]):
             kind = hint.__name__ if isinstance(hint, type) else hint
             raise Inadmissible(f"config key {key}: {value!r} is not {kind}")
-    return RunConfig(subcommand=sub, **base)
+    cfg = RunConfig(subcommand=sub, **base)
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise Inadmissible(f"need a finite --tol >= 0, got {cfg.tol!r}")
+    if cfg.max_sweeps < 1:
+        raise Inadmissible(f"need --max-sweeps >= 1, got {cfg.max_sweeps}")
+    return cfg
 
 
 SUBCOMMANDS = {

@@ -378,7 +378,17 @@ class SUNIrreps(Irreps):
         return np.array(list(parts), dtype=np.int64).reshape(-1, N)
 
     def estimate(self, N: int, ell: int) -> int:
-        return max(1, math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
+        """Upper estimate of the partitions of ell into at most N parts.
+
+        The binomial formula alone undercounts once N nears ell (1 against
+        5604 at N = ell = 30), so the exact count from p(n, k) =
+        p(n, k - 1) + p(n - k, k), O(N ell), bounds it from below.
+        """
+        p = [1] + [0] * ell  # p[n] = p(n, k) after round k
+        for k in range(1, min(N, ell) + 1):
+            for n in range(k, ell + 1):
+                p[n] += p[n - k]
+        return max(p[ell], math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
 
     def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         c = spec.L // spec.N

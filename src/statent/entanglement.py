@@ -48,7 +48,7 @@ class NAtTwo(ValueError):
     """The generalized Renyi negativity is undefined at n = 2."""
 
 
-LogMoment = Callable[[float], float]  # k -> log M(k)
+Ratio = Callable[[float, float], float]  # (k, c) -> log M(k) / c
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +64,21 @@ def _exact_table(sectors: Sequence[IrrepRecord], D0: int) -> LogSectors:
     return LogSectors(*logs.T, log_D0=exact_log(D0), rows=sectors, D0=D0)
 
 
-def _moments(ls: LogSectors) -> LogMoment:
-    """k -> log M(k), memoized on float(k) so R_3 and Rt_4 share k = -2.
+def _moments(ls: LogSectors) -> Ratio:
+    """(k, c) -> log M(k) / c, log M(k) memoized on float(k) (R_3, Rt_4 share k = -2).
 
     Integer k over exact rows is an exact sum, and M(k) == 1 gives exactly
-    0.0; every other k is one log-sum-exp over the table.
+    0.0; every other k is one log-sum-exp over the table.  The backends
+    differ in one rule, the sign of a zero quotient: over exact rows a zero
+    log M(k) reads +0.0 at every order c, while the log backend keeps the
+    plain quotient, -0.0 for c < 0.
     """
     base = ls.log_pc + ls.log_DA + ls.log_DB
+    exact = ls.rows is not None
 
     @functools.cache
     def log_moment(k: float) -> float:
-        if ls.rows is None or not k.is_integer():
+        if not exact or not k.is_integer():
             return _lse(base + k * ls.log_d) - ls.log_D0
         k = int(k)
         if k >= 0:
@@ -83,7 +87,11 @@ def _moments(ls: LogSectors) -> LogMoment:
             s = sum_ratio_terms([(r.weight, r.d**-k) for r in ls.rows]) / ls.D0
         return 0.0 if s == 1 else exact_log(s)
 
-    return lambda k: log_moment(float(k))
+    def ratio(k: float, c: float) -> float:
+        log_m = log_moment(float(k))
+        return 0.0 if exact and log_m == 0.0 else log_m / c
+
+    return ratio
 
 
 def _sop(ls: LogSectors) -> float:
@@ -96,28 +104,22 @@ def _sop(ls: LogSectors) -> float:
     return float(np.sum(np.exp(ls.log_pc + log_w) * (2.0 * ls.log_d - log_w)))
 
 
-def _over(log_m: float, c: float, exact: bool) -> float:
-    # exact sums that reach M(k) == 1 read +0.0 at every order; the log
-    # backend keeps the plain quotient
-    return 0.0 if exact and log_m == 0.0 else log_m / c
-
-
-def _renyi(log_moment: LogMoment, n: int, exact: bool) -> float:
+def _renyi(ratio: Ratio, n: int) -> float:
     if n < 1:
         raise ValueError(f"Renyi index must be >= 1, got {n}")
     if n % 2 == 0:
         n = n - 1
     if n == 1:
         return 0.0
-    return _over(log_moment(1 - n), -1.0, exact)
+    return ratio(1 - n, -1.0)
 
 
-def _rtilde(log_moment: LogMoment, n: float, exact: bool) -> float:
+def _rtilde(ratio: Ratio, n: float) -> float:
     if abs(n - 2.0) < N_NEAR_TWO:
         raise NAtTwo(f"generalized Renyi negativity undefined at n = 2 (got {n})")
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
-    return _over(log_moment(2 - n), 2.0 - n, exact)
+    return ratio(2 - n, 2.0 - n)
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +128,22 @@ def _rtilde(log_moment: LogMoment, n: float, exact: bool) -> float:
 
 def log_negativity(sectors: Sequence[IrrepRecord], D0: int) -> float:
     """E_N in nats; exactly 0.0 whenever all degeneracies are 1."""
-    return _moments(_exact_table(sectors, D0))(1)
+    return _moments(_exact_table(sectors, D0))(1, 1.0)
 
 
 def renyi_negativity(sectors: Sequence[IrrepRecord], D0: int, n: int) -> float:
     """R_n in nats for integer n >= 1 (even n via R_n = R_{n-1})."""
-    return _renyi(_moments(_exact_table(sectors, D0)), n, exact=True)
+    return _renyi(_moments(_exact_table(sectors, D0)), n)
 
 
 def generalized_renyi(sectors: Sequence[IrrepRecord], D0: int, n: float) -> float:
     """Rt_n in nats for real n > 0, n != 2; equals E_N at n = 1."""
-    return _rtilde(_moments(_exact_table(sectors, D0)), n, exact=True)
+    return _rtilde(_moments(_exact_table(sectors, D0)), n)
 
 
 def operator_space_entanglement(sectors: Sequence[IrrepRecord], D0: int) -> float:
     """S_OP in nats: Shannon entropy of the sector weights plus E_p[log(pc d^2)]."""
     return _sop(_exact_table(sectors, D0))
-
-
-def log_negativity_logdomain(ls: LogSectors) -> float:
-    return _moments(ls)(1)
-
-
-def renyi_negativity_logdomain(ls: LogSectors, n: int) -> float:
-    return _renyi(_moments(ls), n, exact=False)
-
-
-def generalized_renyi_logdomain(ls: LogSectors, n: float) -> float:
-    return _rtilde(_moments(ls), n, exact=False)
 
 
 def operator_space_entanglement_logdomain(ls: LogSectors) -> float:
@@ -241,13 +231,13 @@ def compute_report(
     else:
         ls = sector_log_arrays(spec)
         sop = operator_space_entanglement_logdomain(ls)
-    log_moment = _moments(ls)
+    ratio = _moments(ls)
     bounds = upper_bounds(spec)
     return EntanglementReport(
         spec=spec,
-        E_N=log_moment(1),
-        R={n: _renyi(log_moment, n, exact) for n in renyi_orders},
-        R_tilde={n: _rtilde(log_moment, n, exact) for n in rtilde_orders},
+        E_N=ratio(1, 1.0),
+        R={n: _renyi(ratio, n) for n in renyi_orders},
+        R_tilde={n: _rtilde(ratio, n) for n in rtilde_orders},
         S_OP=sop,
         dim_C_min=LogReal(bounds.log_dim_c_min),
         bounds=bounds,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -59,14 +59,14 @@ class DenseState:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         m = self.matrix
         if np.linalg.norm(m - m.conj().T) > 1e-12 * max(1.0, np.linalg.norm(m)):
             raise ValueError("state is not Hermitian")
         if abs(self.trace - 1.0) > 1e-12:
             raise ValueError(f"trace is {self.trace}, not 1")
         w = block_eigvalsh(m)
-        if w.min() < -atol:
+        if w.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {w.min()}")
 
 
@@ -223,10 +223,9 @@ def conserved_operators(family: Family, N: int, L: int) -> list[np.ndarray]:
 
 
 def _site_sum(op: np.ndarray, N: int, L: int, staggered: bool = False) -> np.ndarray:
-    dim = N**L
-    total = np.zeros((dim, dim))
+    total = np.zeros((N**L, N**L))
     for j in range(L):
-        full = np.kron(np.kron(np.eye(N**j), op), np.eye(N ** (L - j - 1)))
+        full = embed_local(op, (j,), N, L)
         total += (-1.0) ** j * full if staggered else full
     return total
 
@@ -240,10 +239,7 @@ def embed_local(op: np.ndarray, sites: tuple[int, ...], N: int, L: int) -> np.nd
 
 def _channel_superop(ch: LocalChannel) -> np.ndarray:
     """S[(a,c),(b,d)] = sum_K K[a,b] K*[c,d]: the channel on the local pair index."""
-    S = sum(np.kron(K, K.conj()) for K in ch.ops)
-    if np.iscomplexobj(S) and not S.imag.any():
-        S = S.real
-    return S
+    return sum(np.kron(K, K.conj()) for K in ch.ops)
 
 
 def _superop_on_block(block: np.ndarray, states: np.ndarray, sites: tuple[int, ...],
@@ -374,13 +370,8 @@ def _embed(block: np.ndarray, S: np.ndarray, rho0: DenseState) -> DenseState:
     return DenseState(full, list(rho0.site_dims))
 
 
-def channel_fixed_point(
-    kraus: KrausSet,
-    rho0: DenseState,
-    tol: float = 1e-12,
-    max_sweeps: int = 1_000_000,
-) -> DenseState:
-    """Iterate sweeps until the Frobenius defect drops below tol (see _sweeps).
+def channel_fixed_point(kraus: KrausSet, rho0: DenseState) -> DenseState:
+    """Iterate sweeps until the Frobenius defect drops to 1e-12 (see _sweeps).
 
     The sweep runs on the m x m block over the reachable basis states S (see
     reachable_states), applying each channel in order as rho -> sum_K K rho K^dag
@@ -391,7 +382,7 @@ def channel_fixed_point(
     S = reachable_states(kraus, rho0.matrix)
     channels = _restricted_channels(kraus, S)
     for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r),
-                               _start(rho0.matrix[np.ix_(S, S)]), tol, max_sweeps):
+                               _start(rho0.matrix[np.ix_(S, S)]), 1e-12, 1_000_000):
         pass
     return _embed(block, S, rho0)
 
@@ -440,7 +431,7 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     # zeros that split the block spectra (U(1) and PF orbits fill S)
     block = np.eye(len(S)) / rank if rank == len(S) else V @ V.conj().T / rank
     defect = float(np.linalg.norm(_restricted_sweep(channels, block) - block))
-    if defect > tol:
+    if not defect <= tol:
         raise NoConvergence(f"orbit state moves by {defect:.3e} in one sweep (tol {tol:.1e})")
     return _embed(block, S, rho0)
 
@@ -490,14 +481,12 @@ def singlet_product_state(family: Family, N: int, L: int) -> DenseState:
     """
     if family == Family.SUN:
         block = np.zeros(N**N)
-        from itertools import permutations
-
         for perm in permutations(range(N)):
             idx = 0
             for s in perm:
                 idx = idx * N + s
-            sgn = _perm_sign(perm)
-            block[idx] = sgn
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            block[idx] = (-1.0) ** inversions
         block /= np.linalg.norm(block)
         psi = block
         for _ in range(L // N - 1):
@@ -525,28 +514,11 @@ def singlet_product_state(family: Family, N: int, L: int) -> DenseState:
     return DenseState(rho, [N] * L)
 
 
-def _perm_sign(perm) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def stationary_state(spec: CommutantSpec, tol: float = 1e-12) -> DenseState:
+def stationary_state(spec: CommutantSpec) -> DenseState:
     """Fixed point reached from the singlet product state (= Pi^0 / D_0), see orbit_state."""
     kraus = build_kraus(spec.family, spec.N, spec.L)
     rho0 = singlet_product_state(spec.family, spec.N, spec.L)
-    return orbit_state(kraus, rho0, tol=tol)
+    return orbit_state(kraus, rho0)
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +680,10 @@ def stack_reduce(word) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def pf_pattern_census(N: int, L: int, cap: int = 10_000_000) -> dict[tuple[int, ...], int]:
-    """Histogram of dot patterns over every length-L product state."""
-    if N**L > cap:
-        raise TooLarge(f"N^L = {N**L} exceeds cap {cap}")
+def pf_pattern_census(N: int, L: int) -> dict[tuple[int, ...], int]:
+    """Histogram of dot patterns over every length-L product state (N^L <= 10^7)."""
+    if N**L > 10_000_000:
+        raise TooLarge(f"N^L = {N**L} exceeds cap 10000000")
     counts: dict[tuple[int, ...], int] = {}
     for word in product(range(N), repeat=L):
         pat = stack_reduce(word)

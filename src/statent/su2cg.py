@@ -237,17 +237,15 @@ def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     lambda_tot sum, which is what makes the full-m_tot=0 Dirichlet-mean
     mixture come out separable (it reduces to the U(1) state by CG
     orthonormality).  For weight on a single sector this is identical to
-    summing |c_m c_m'| per sector.  Sectors of weight zero are left out, and
-    the rest keep the order of p.  This is the one-row case of the block
-    evaluation haar_average_negativity runs on all draws at once, with the
-    same float operations.
+    summing |c_m c_m'| per sector.  Sectors keep the order of p, those of
+    weight zero included: they add exact zeros.  This is the one-row case of
+    the block evaluation haar_average_negativity runs on all draws at once,
+    with the same float operations.
     """
     if L % 2 or L_A % 2 or (L - L_A) % 2:
         raise ValueError("need even L, L_A, L_B")
     _check_weights(p.values())
-    pref = {
-        t: w / su2_sector_dim(L, t) for t, w in p.items() if w != 0.0
-    }
+    pref = {t: w / su2_sector_dim(L, t) for t, w in p.items()}
     total = _trace_norms(L, L_A, list(pref), np.array([list(pref.values())]))
     return math.log(float(total[0]))
 
@@ -274,6 +272,8 @@ class HaarEnsembleSpec:
             raise Inadmissible(f"need 0 <= lambda_max <= L/2, got {self.lambda_max}")
         if self.samples < 1:
             raise Inadmissible(f"need samples >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise Inadmissible(f"need seed >= 0, got {self.seed}")
 
 
 def _draw_weights(spec: HaarEnsembleSpec, index: int, dims: np.ndarray) -> np.ndarray:
@@ -306,10 +306,6 @@ def haar_average_negativity(spec: HaarEnsembleSpec) -> tuple[float, float]:
     for row in P:
         _check_weights(row)
     vals = np.array([math.log(x) for x in _trace_norms(L, L_A, lams, P / dims).tolist()])
-    # a zero weight drops its sector from negativity_fixed_lambda, which can
-    # reorder the blocks; such a draw takes that call to keep its bits
-    for i in np.flatnonzero((P == 0.0).any(axis=1)):
-        vals[i] = negativity_fixed_lambda(L, L_A, dict(zip(lams, P[i].tolist())))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0
     return mean, stderr

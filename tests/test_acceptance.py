@@ -27,14 +27,12 @@ from statent.commutants import (
     singlet_dimension,
 )
 from statent.entanglement import (
+    compute_report,
     generalized_renyi,
-    generalized_renyi_logdomain,
     log_negativity,
-    log_negativity_logdomain,
     operator_space_entanglement,
     operator_space_entanglement_logdomain,
     renyi_negativity,
-    renyi_negativity_logdomain,
     su2_log_negativity_closed,
     su2_renyi3_closed,
 )
@@ -91,10 +89,11 @@ def test_criterion_02_su2_closed_forms_and_fits():
     pts = {q: [] for q in ("en", "r3", "sop")}
     for k in range(6, 13):
         L = 2**k
-        ls = sector_log_arrays(CommutantSpec(Family.SUN, 2, L, L // 2))
-        pts["en"].append((L, log_negativity_logdomain(ls)))
-        pts["r3"].append((L, renyi_negativity_logdomain(ls, 3)))
-        pts["sop"].append((L, operator_space_entanglement_logdomain(ls)))
+        rep = compute_report(CommutantSpec(Family.SUN, 2, L, L // 2), renyi_orders=(3,),
+                             rtilde_orders=(), backend="log")
+        pts["en"].append((L, rep.E_N))
+        pts["r3"].append((L, rep.R[3]))
+        pts["sop"].append((L, rep.S_OP))
     s_en = fit_scaling(pts["en"], "log").slope
     s_r3 = fit_scaling(pts["r3"], "log").slope
     s_sop = fit_scaling(pts["sop"], "log").slope
@@ -143,11 +142,12 @@ def test_criterion_05_tl3_volume_law():
     en_pts, r3_pts, sop_pts = [], [], []
     for k in range(6, 13):
         L = 2**k
-        ls = sector_log_arrays(CommutantSpec(Family.TL, 3, L, L // 2))
+        rep = compute_report(CommutantSpec(Family.TL, 3, L, L // 2), renyi_orders=(3,),
+                             rtilde_orders=(), backend="log")
         if k >= 8:
-            en_pts.append((L, log_negativity_logdomain(ls)))
-            r3_pts.append((L, renyi_negativity_logdomain(ls, 3)))
-        sop_pts.append((L, operator_space_entanglement_logdomain(ls)))
+            en_pts.append((L, rep.E_N))
+            r3_pts.append((L, rep.R[3]))
+        sop_pts.append((L, rep.S_OP))
     c_lin = fit_scaling(en_pts, "linear").slope
     c_log = fit_scaling(r3_pts, "log").slope
     # S_OP = c sqrt(L) + O(log L): three-term fit isolates the sqrt part
@@ -162,17 +162,19 @@ def test_criterion_05_tl3_volume_law():
 
 def test_criterion_06_rtilde_transition():
     Ls = [2**k for k in range(8, 13)]
-    arrays = {L: sector_log_arrays(CommutantSpec(Family.TL, 3, L, L // 2)) for L in Ls}
+    reports = {L: compute_report(CommutantSpec(Family.TL, 3, L, L // 2), renyi_orders=(),
+                                 rtilde_orders=(0.5, 1.0, 1.5, 3.0, 4.0, 6.0), backend="log")
+               for L in Ls}
     details, ok = [], True
     for n in (0.5, 1.0, 1.5):
-        pts = [(L, generalized_renyi_logdomain(arrays[L], n)) for L in Ls]
+        pts = [(L, reports[L].R_tilde[n]) for L in Ls]
         slope = fit_scaling(pts, "linear").slope
         ref = tl_linear_coefficient(3, n)
         good = slope >= ref - 0.01
         ok &= good
         details.append(f"n={n}: lin {slope:.4f}>={ref - 0.01:.4f}")
     for n in (3.0, 4.0, 6.0):
-        pts = [(L, generalized_renyi_logdomain(arrays[L], n)) for L in Ls]
+        pts = [(L, reports[L].R_tilde[n]) for L in Ls]
         slope = fit_scaling(pts, "log").slope
         ref = 1.5 / (n - 2.0)
         good = slope <= ref + 0.05

@@ -14,8 +14,8 @@ from statent.asymptotics import (
     tl_linear_coefficient,
     tl_sqrt_coefficient,
 )
-from statent.commutants import CommutantSpec, Family, sector_log_arrays
-from statent.entanglement import log_negativity_logdomain
+from statent.commutants import CommutantSpec, Family
+from statent.entanglement import compute_report
 from statent.exactnum import DomainError, tl_q
 
 
@@ -90,8 +90,9 @@ def test_su2_en_fit_slope():
     pts = []
     for k in range(6, 13):
         L = 2**k
-        ls = sector_log_arrays(CommutantSpec(Family.SUN, 2, L, L // 2))
-        pts.append((L, log_negativity_logdomain(ls)))
+        rep = compute_report(CommutantSpec(Family.SUN, 2, L, L // 2), renyi_orders=(),
+                             rtilde_orders=(), backend="log")
+        pts.append((L, rep.E_N))
     fit = fit_scaling(pts, "log")
     assert abs(fit.slope - 0.5) <= 0.02
 
@@ -100,8 +101,9 @@ def test_tl3_en_linear_fit():
     pts = []
     for k in range(8, 13):
         L = 2**k
-        ls = sector_log_arrays(CommutantSpec(Family.TL, 3, L, L // 2))
-        pts.append((L, log_negativity_logdomain(ls)))
+        rep = compute_report(CommutantSpec(Family.TL, 3, L, L // 2), renyi_orders=(),
+                             rtilde_orders=(), backend="log")
+        pts.append((L, rep.E_N))
     fit = fit_scaling(pts, "linear")
     assert fit.slope >= 0.1116 - 0.005
 

@@ -60,6 +60,8 @@ def test_malformed_quantity_exit_2(token, capsys):
     ["haar", "--family", "su2", "--L", "0"],
     ["haar", "--family", "su2", "--L", "4", "--lambda-max", "9"],
     ["haar", "--family", "su2", "--L", "4", "--samples", "0"],
+    ["haar", "--family", "su2", "--L", "4", "--seed", "-1"],
+    ["asymptote", "--family", "tl", "--N", "3", "--quantities", "rt2"],
 ])
 def test_bad_input_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -164,6 +166,22 @@ def test_oracle_takes_no_sweeps(capsys):
     assert out.count("PASS") == 5
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "--tol", "nan"],
+    ["oracle", "--tol", "inf"],
+    ["oracle", "--tol=-1e-12"],
+    ["dynamics", "--tol", "nan"],
+    ["dynamics", "--max-sweeps", "0"],
+], ids=["oracle-tol-nan", "oracle-tol-inf", "oracle-tol-negative", "dynamics-tol-nan",
+        "dynamics-max-sweeps-0"])
+def test_sweep_options_exit_2(args, capsys):
+    # a NaN tolerance would pass every "defect > tol" check unseen
+    code, out, err = run_cli(args + ["--family", "su2", "--L", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible")
+
+
 def test_haar_emits_points_and_crossing(capsys):
     code, out, _ = run_cli(
         ["haar", "--family", "su2", "--L-list", "12,16", "--samples", "25", "--seed", "3"],
@@ -244,6 +262,19 @@ def test_scan_sun_resource_cap_exit_4(capsys):
     )
     assert code == 4
     assert "resource cap" in err
+
+
+def test_sun_partition_count_caps_large_N():
+    # the binomial estimate reads 1 partition here against the true 1.9e8; a
+    # child interpreter with a timeout, since an uncapped enumeration never returns
+    out = subprocess.run(
+        [sys.executable, "-m", "statent.cli", "compute", "--family", "sun", "--N", "100",
+         "--L", "200"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(statent.__file__))},
+    )
+    assert out.returncode == 4, out.stderr
+    assert "resource cap" in out.stderr
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

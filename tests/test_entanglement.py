@@ -13,7 +13,6 @@ from statent.commutants import (
     Family,
     IrrepRecord,
     enumerate_sectors,
-    sector_log_arrays,
     singlet_dimension,
 )
 from statent.entanglement import (
@@ -22,14 +21,10 @@ from statent.entanglement import (
     NAtTwo,
     compute_report,
     generalized_renyi,
-    generalized_renyi_logdomain,
     log_negativity,
-    log_negativity_logdomain,
     operator_space_entanglement,
-    operator_space_entanglement_logdomain,
     pick_backend,
     renyi_negativity,
-    renyi_negativity_logdomain,
     su2_log_negativity_closed,
     su2_renyi3_closed,
     sun_renyi3_half_chain,
@@ -185,19 +180,27 @@ def test_log_backend_matches_exact():
         CommutantSpec(Family.SUN, 3, 24, 12),
     ]:
         secs, D0 = enumerate_sectors(spec), singlet_dimension(spec)
-        ls = sector_log_arrays(spec)
-        assert log_negativity_logdomain(ls) == pytest.approx(
-            log_negativity(secs, D0), rel=1e-10, abs=1e-10
-        )
-        assert renyi_negativity_logdomain(ls, 3) == pytest.approx(
-            renyi_negativity(secs, D0, 3), rel=1e-10, abs=1e-10
-        )
-        assert generalized_renyi_logdomain(ls, 1.5) == pytest.approx(
+        rep = compute_report(spec, renyi_orders=(3,), rtilde_orders=(1.5,), backend="log")
+        assert rep.E_N == pytest.approx(log_negativity(secs, D0), rel=1e-10, abs=1e-10)
+        assert rep.R[3] == pytest.approx(renyi_negativity(secs, D0, 3), rel=1e-10, abs=1e-10)
+        assert rep.R_tilde[1.5] == pytest.approx(
             generalized_renyi(secs, D0, 1.5), rel=1e-10, abs=1e-10
         )
-        assert operator_space_entanglement_logdomain(ls) == pytest.approx(
+        assert rep.S_OP == pytest.approx(
             operator_space_entanglement(secs, D0), rel=1e-10, abs=1e-10
         )
+
+
+def test_zero_quotient_sign_per_backend():
+    # over exact rows M(k) == 1 reads +0.0 at every order; the log backend keeps
+    # the plain quotient, whose -0.0 the pinned U(1) scaling output records
+    for spec in [CommutantSpec(Family.U1, 2, 16, 8), CommutantSpec(Family.PF, 3, 12, 6)]:
+        rep = compute_report(spec, renyi_orders=(3,), rtilde_orders=(3.0,), backend="exact")
+        assert math.copysign(1.0, rep.R[3]) == math.copysign(1.0, rep.R_tilde[3.0]) == 1.0
+        assert rep.R[3] == rep.R_tilde[3.0] == 0.0
+    rep = compute_report(CommutantSpec(Family.U1, 2, 2048, 1024), renyi_orders=(3,),
+                         rtilde_orders=(), backend="log")
+    assert rep.R[3] == 0.0 and math.copysign(1.0, rep.R[3]) == -1.0
 
 
 def test_sun_r3_convolution_matches_enumeration():
@@ -265,6 +268,18 @@ def test_mirror_cuts_pick_same_backend():
         *((f"Rt_bound_{n}", ra.rtilde_bounds[n], rb.rtilde_bounds[n]) for n in ra.rtilde_bounds),
     ]:
         assert x == pytest.approx(y, rel=1e-12, abs=1e-12), name
+
+
+def test_sun_partition_estimate_covers_large_N():
+    irreps = CommutantSpec(Family.SUN, 3, 6, 3).irreps
+    # the binomial estimate reads 1 at N = ell; the counts are p(30), p(50), p(100)
+    assert [irreps.estimate(N, N) for N in (30, 50, 100)] == [5604, 204226, 190569292]
+    for N, ell in [(3, 12), (4, 9), (5, 20), (8, 8), (12, 10)]:
+        assert irreps.estimate(N, ell) >= len(irreps.labels(N, ell)), (N, ell)
+    # the SU(3)/SU(4) grid of the closed_forms benchmark keeps its exact backend
+    grid = [(3, 96), (3, 192), (3, 288), (4, 64), (4, 96), (4, 128)]
+    assert {pick_backend(CommutantSpec(Family.SUN, N, L, L // 2)) for N, L in grid} == {"exact"}
+    assert pick_backend(CommutantSpec(Family.SUN, 3, 576, 288)) == "log"
 
 
 def test_log_backend_reach_one_million():

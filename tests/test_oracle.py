@@ -426,6 +426,8 @@ def test_orbit_state_sweep_check_catches_non_unital_channel():
     assert ks.completeness_defect <= 1e-15
     with pytest.raises(NoConvergence, match="one sweep"):
         orbit_state(ks, DenseState(np.diag([0.0, 1.0]), [2]))
+    with pytest.raises(NoConvergence, match="one sweep"):  # a NaN tol checks nothing
+        orbit_state(ks, DenseState(np.diag([0.0, 1.0]), [2]), tol=float("nan"))
 
 
 def test_oracle_certifies_su2_L10():

@@ -122,8 +122,8 @@ def test_haar_batch_bit_identical_to_per_draw_loop(L, L_A):
 
 
 def test_haar_zero_weight_draw_keeps_its_bits(monkeypatch):
-    # a zero weight drops its sector, and with it the blocks only that sector
-    # opens, from negativity_fixed_lambda's block order
+    # a zero-weight sector keeps its place, and the blocks only it opens, in
+    # negativity_fixed_lambda's block order, as on the batched path
     spec = HaarEnsembleSpec(L=16, lambda_max=3, samples=3, seed=1)
     rows = [np.array([0.0, 0.3, 0.3, 0.4]), np.array([0.1, 0.2, 0.3, 0.4]),
             np.array([0.5, 0.0, 0.5, 0.0])]
