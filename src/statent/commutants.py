@@ -232,37 +232,28 @@ def pf_sector_dimension(N: int, L: int, M: int) -> int:
     return total
 
 
-def log_pf_sector_dims(N: int, L: int) -> np.ndarray:
+def log_pf_sector_dims(N: int, L: int, lgf: np.ndarray | None = None) -> np.ndarray:
     """log D_M^PF(N)(L) for M = 0..L (-inf off-parity), even L only.
 
     The prefix sum of pf_sector_dimension in the log domain; its ballot
-    numbers are the spin-(L/2 - i) ballot entry's log_D.
+    numbers are the spin-(L/2 - i) ballot entry's log_D, read from lgf
+    (log_factorials to at least L; built here if not given).
     """
     if L % 2:
         raise ParityError(f"log PF sector dimensions need even L, got L={L}")
     i = np.arange(L // 2 + 1)
     out = np.full(L + 1, -np.inf)
-    out[L::-2] = np.logaddexp.accumulate(
-        i * math.log(N - 1) + IRREPS[Family.TL].log_D(N, L, L // 2 - i))
+    out[L::-2] = np.logaddexp.accumulate(i * math.log(N - 1) + IRREPS[Family.TL].log_D(
+        N, L, L // 2 - i, log_factorials(L) if lgf is None else lgf))
     return out
 
 
-LG_CHUNK = 2**14
+def log_factorials(n: int) -> np.ndarray:
+    """lgamma(j + 1) for j = 0..n, one math.lgamma per integer.
 
-
-def _lg(x) -> np.ndarray:
-    """math.lgamma elementwise, as a float array of x's shape.
-
-    Maps over LG_CHUNK-element tolist() chunks, so the Python numbers alive at
-    once stay bounded however large x is.
+    log_D gathers from it; each sector build makes its own and drops it.
     """
-    x = np.asarray(x)
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for i in range(0, flat.size, LG_CHUNK):
-        chunk = flat[i:i + LG_CHUNK].tolist()
-        out[i:i + len(chunk)] = np.fromiter(map(math.lgamma, chunk), float, len(chunk))
-    return out.reshape(x.shape)
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +266,14 @@ class Irreps:
     (pattern count, degeneracy) and the dimension D on ell sites per label.
 
     Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
-    log flavour (log_pc_d, log_D: a label array).  Defaults: pc = d = 1.
+    log flavour (log_pc_d, log_D: a label array; log_D gathers from lgf, a
+    log_factorials table of at least ell + N entries).  Defaults: pc = d = 1.
     """
 
-    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
-        lab = self.labels(spec.N, spec.L_min)
+    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        if lab is None:
+            lab = self.labels(spec.N, spec.L_min)
         return lab, lab
 
     def estimate(self, N: int, ell: int) -> int:
@@ -303,7 +297,8 @@ class U1Irreps(Irreps):
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(ell + 1)
 
-    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
         kA = np.arange(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
         return kA, spec.L // 2 - kA  # M_A + M_B = 0
 
@@ -313,8 +308,8 @@ class U1Irreps(Irreps):
     def D(self, N: int, ell: int, k: int) -> int:
         return binomial(ell, k)
 
-    def log_D(self, N: int, ell: int, k: np.ndarray) -> np.ndarray:
-        return _lg(ell + 1) - _lg(k + 1) - _lg(ell - k + 1)
+    def log_D(self, N: int, ell: int, k: np.ndarray, lgf: np.ndarray) -> np.ndarray:
+        return lgf[ell] - lgf[k] - lgf[ell::-1][k]  # lgf[ell - k], no index temporary
 
 
 class BallotIrreps(Irreps):
@@ -338,9 +333,9 @@ class BallotIrreps(Irreps):
     def D(self, N: int, ell: int, lam: int) -> int:
         return su2_sector_dim(ell, lam)
 
-    def log_D(self, N: int, ell: int, lam: np.ndarray) -> np.ndarray:
+    def log_D(self, N: int, ell: int, lam: np.ndarray, lgf: np.ndarray) -> np.ndarray:
         k = ell // 2 + lam
-        return (math.lgamma(ell + 1) - _lg(k + 1) - _lg(ell - k + 1)
+        return (lgf[ell] - lgf[k] - lgf[ell::-1][k]
                 + np.log(2 * lam + 1.0) - np.log(ell // 2 + lam + 1.0))
 
 
@@ -360,8 +355,8 @@ class PFIrreps(Irreps):
     def D(self, N: int, ell: int, M: int) -> int:
         return pf_sector_dimension(N, ell, M)
 
-    def log_D(self, N: int, ell: int, M: np.ndarray) -> np.ndarray:
-        return log_pf_sector_dims(N, ell)[M]
+    def log_D(self, N: int, ell: int, M: np.ndarray, lgf: np.ndarray) -> np.ndarray:
+        return log_pf_sector_dims(N, ell, lgf)[M]
 
 
 class SUNIrreps(Irreps):
@@ -390,9 +385,13 @@ class SUNIrreps(Irreps):
                 p[n] += p[n - k]
         return max(p[ell], math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
 
-    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
         c = spec.L // spec.N
-        lam = self.labels(spec.N, spec.L_A, cap=c)
+        if lab is not None and spec.L_A == spec.L_min:
+            lam = lab[lab[:, 0] <= c]  # the capped walk's rows, in its (descending) order
+        else:
+            lam = self.labels(spec.N, spec.L_A, cap=c)
         return lam, c - lam[:, ::-1]
 
     def name(self, ell: int, lam: list[int]) -> tuple[int, ...]:
@@ -408,9 +407,9 @@ class SUNIrreps(Irreps):
     def D(self, N: int, ell: int, lam: list[int]) -> int:
         return sun_irrep_dims(N, ell, lam)[1]
 
-    def log_D(self, N: int, ell: int, lam: np.ndarray) -> np.ndarray:
+    def log_D(self, N: int, ell: int, lam: np.ndarray, lgf: np.ndarray) -> np.ndarray:
         t, lv = self.log_vandermonde(lam)
-        return math.lgamma(ell + 1) + lv - sum(_lg(col + 1) for col in t.T)
+        return lgf[ell] + lv - sum(lgf[col] for col in t.T)
 
     def log_vandermonde(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shifted parts lam~_i = lam_i + N - i and log prod_{i<j}(lam~_i - lam~_j)."""
@@ -424,22 +423,23 @@ IRREPS: dict[Family, Irreps] = {Family.U1: U1Irreps(), Family.TL: BallotIrreps()
 
 
 # ---------------------------------------------------------------------------
-# readers of the table: paired sectors, D_0, bounds, log arrays
+# readers of the table: paired sectors, D_0, bounds, log arrays; lab, if
+# given, is irreps.labels(N, L_min), walked once by a caller that reads it twice
 # ---------------------------------------------------------------------------
 
-def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
+def iter_sectors(spec: CommutantSpec, lab: np.ndarray | None = None) -> Iterator[IrrepRecord]:
     """Stream IrrepRecords for all irreps admissible on both L_A and L_B."""
     irr, N = spec.irreps, spec.N
-    lab_A, lab_B = irr.pair(spec)
+    lab_A, lab_B = irr.pair(spec, lab)
     for a, b in zip(lab_A.tolist(), lab_B.tolist()):
         pc, d = irr.pc_d(N, a)
         yield IrrepRecord(label=irr.name(spec.L_A, a), d=d, D_A=irr.D(N, spec.L_A, a),
                           D_B=irr.D(N, spec.L_B, b), pattern_count=pc)
 
 
-def enumerate_sectors(spec: CommutantSpec) -> list[IrrepRecord]:
+def enumerate_sectors(spec: CommutantSpec, lab: np.ndarray | None = None) -> list[IrrepRecord]:
     """Complete bipartite-paired sector list (see iter_sectors)."""
-    return list(iter_sectors(spec))
+    return list(iter_sectors(spec, lab))
 
 
 def singlet_dimension(spec: CommutantSpec) -> int:
@@ -451,21 +451,22 @@ def singlet_dimension(spec: CommutantSpec) -> int:
     return sum(r.weight for r in iter_sectors(spec))
 
 
-def _log_pc_d_on_min_half(spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+def _log_pc_d_on_min_half(spec: CommutantSpec, lab: np.ndarray | None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """(log pc, log d) over ALL irreps on the smaller half, paired or not."""
     irr = spec.irreps
-    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min))
+    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min) if lab is None else lab)
 
 
-def commutant_dimension(spec: CommutantSpec) -> LogReal:
+def commutant_dimension(spec: CommutantSpec, lab: np.ndarray | None = None) -> LogReal:
     """dim C(L_min) = sum over every irrep on the smaller half of pc * d^2."""
-    log_pc, log_d = _log_pc_d_on_min_half(spec)
+    log_pc, log_d = _log_pc_d_on_min_half(spec, lab)
     return LogReal(_lse(log_pc + 2 * log_d))
 
 
-def max_log_degeneracy(spec: CommutantSpec) -> float:
+def max_log_degeneracy(spec: CommutantSpec, lab: np.ndarray | None = None) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
-    return float(np.max(_log_pc_d_on_min_half(spec)[1]))
+    return float(np.max(_log_pc_d_on_min_half(spec, lab)[1]))
 
 
 @dataclass
@@ -486,17 +487,24 @@ class LogSectors:
 
 
 def _lse(x: np.ndarray) -> float:
-    """log sum exp(x), shifted by the maximum."""
+    """log sum exp(x), shifted by the maximum; x is left as it was."""
     m = float(np.max(x))
     if m == float("-inf"):
         return m
-    return m + math.log(float(np.sum(np.exp(x - m))))
+    y = x - m
+    return m + math.log(float(np.sum(np.exp(y, out=y))))
 
 
-def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
-    """Log-domain analogue of enumerate_sectors (float64 arrays)."""
+def sector_log_arrays(spec: CommutantSpec, lab: np.ndarray | None = None) -> LogSectors:
+    """Log-domain analogue of enumerate_sectors (float64 arrays).
+
+    Both halves read one log_factorials table (shifted SU(N) parts reach
+    ell + N - 1); it and the labels are freed before log D_0 is summed.
+    """
     irr, N = spec.irreps, spec.N
-    lab_A, lab_B = irr.pair(spec)
-    log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A), irr.log_D(N, spec.L_B, lab_B)
+    lab_A, lab_B = irr.pair(spec, lab)
+    lgf = log_factorials(max(spec.L_A, spec.L_B) + N - 1)
+    log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lgf), irr.log_D(N, spec.L_B, lab_B, lgf)
     log_pc, log_d = irr.log_pc_d(N, lab_A)
+    del lgf, lab_A, lab_B
     return LogSectors(log_pc, log_d, log_DA, log_DB, _lse(log_pc + log_DA + log_DB))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .commutants import (
     CommutantSpec, IrrepRecord, LogSectors, commutant_dimension, enumerate_sectors,
-    max_log_degeneracy, sector_log_arrays, _lg, _lse, _superfactorial,
+    log_factorials, max_log_degeneracy, sector_log_arrays, _lse, _superfactorial,
 )
 from .exactnum import LogReal, exact_log, sum_ratio_terms
 
@@ -182,10 +182,11 @@ class Bounds:
         return min(self.log_max_d, 0.5 * self.log_dim_c_min)
 
 
-def upper_bounds(spec: CommutantSpec) -> Bounds:
+def upper_bounds(spec: CommutantSpec, lab: np.ndarray | None = None) -> Bounds:
+    """The bounds over the irreps on the smaller half (lab: their labels, if at hand)."""
     return Bounds(
-        log_dim_c_min=commutant_dimension(spec).log_value(),
-        log_max_d=max_log_degeneracy(spec),
+        log_dim_c_min=commutant_dimension(spec, lab).log_value(),
+        log_max_d=max_log_degeneracy(spec, lab),
     )
 
 
@@ -222,17 +223,22 @@ def compute_report(
     backend: str = "auto",
 ) -> EntanglementReport:
     exact = pick_backend(spec, backend) == "exact"
+    # one walk of the smaller half's labels, read by the pairing and the
+    # bounds, and dropped before S_OP and the moments are summed
+    lab = spec.irreps.labels(spec.N, spec.L_min)
+    if exact:
+        sectors = enumerate_sectors(spec, lab)
+        D0 = sum(r.weight for r in sectors)  # = singlet_dimension(spec)
+        ls = _exact_table(sectors, D0)
+    else:
+        ls = sector_log_arrays(spec, lab)
+    bounds = upper_bounds(spec, lab)
+    del lab
     # S_OP through each backend's public function, which perfbench's per-layer
     # trace times as that backend's evaluation (exact_eval / log_eval)
-    if exact:
-        sectors = enumerate_sectors(spec)
-        D0 = sum(r.weight for r in sectors)  # = singlet_dimension(spec)
-        ls, sop = _exact_table(sectors, D0), operator_space_entanglement(sectors, D0)
-    else:
-        ls = sector_log_arrays(spec)
-        sop = operator_space_entanglement_logdomain(ls)
+    sop = (operator_space_entanglement(sectors, D0) if exact
+           else operator_space_entanglement_logdomain(ls))
     ratio = _moments(ls)
-    bounds = upper_bounds(spec)
     return EntanglementReport(
         spec=spec,
         E_N=ratio(1, 1.0),
@@ -282,8 +288,8 @@ def sun_renyi3_half_chain(N: int, L: int) -> float:
     a = L // N + N - 1
     M = LA + N * (N - 1) // 2  # sum of shifted parts
 
-    x = np.arange(a + 1)
-    log_g = math.lgamma(a + 1) - _lg(x + 1) - _lg(a - x + 1)
+    lgf = log_factorials(a)  # log g(x) = log C(a, x), x = 0..a
+    log_g = lgf[a] - lgf - lgf[::-1]
     shift = float(np.max(log_g))
     g = np.exp(log_g - shift)
 

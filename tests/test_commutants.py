@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from statent.commutants import (
-    LG_CHUNK,
+    IRREPS,
     CommutantSpec,
     Family,
     Inadmissible,
@@ -13,6 +13,7 @@ from statent.commutants import (
     commutant_dimension,
     enumerate_sectors,
     iter_sectors,
+    log_factorials,
     log_pf_sector_dims,
     pf_pattern_count,
     pf_sector_dimension,
@@ -23,7 +24,7 @@ from statent.commutants import (
     sun_partitions,
     check_admissible,
 )
-from statent.commutants import _lg
+from statent.commutants import _lse
 from statent.exactnum import factorial
 from statent.oracle import pf_pattern_census
 
@@ -284,9 +285,77 @@ def test_pf_dims_accurate_at_4096(N):
         assert pf_sector_dimension(N, L, M) == prefix[M]
 
 
-def test_lg_is_math_lgamma_bit_for_bit():
-    # 2-D, over three chunks, so the chunk boundaries fall inside rows
-    x = np.arange(3 * (LG_CHUNK + 1)).reshape(3, -1) * 37 + 1
-    got = _lg(x)
-    assert got.shape == x.shape and got.dtype == np.float64
-    assert got.ravel().tolist() == [math.lgamma(v) for v in x.ravel().tolist()]
+def test_log_factorials_is_math_lgamma_bit_for_bit():
+    for n in (0, 1, 2, 70_000):
+        got = log_factorials(n)
+        assert got.shape == (n + 1,) and got.dtype == np.float64
+        assert got.tolist() == [math.lgamma(j + 1) for j in range(n + 1)]
+
+
+def _lg(x) -> np.ndarray:
+    x = np.asarray(x)
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _per_element_log_D(family: Family, N: int, ell: int, lab: np.ndarray) -> np.ndarray:
+    """log D with one math.lgamma per element: the formulas the table replaced."""
+    if family == Family.U1:
+        return _lg(ell + 1) - _lg(lab + 1) - _lg(ell - lab + 1)
+    if family == Family.TL or (family, N) == (Family.SUN, 2):
+        k = ell // 2 + lab
+        return (math.lgamma(ell + 1) - _lg(k + 1) - _lg(ell - k + 1)
+                + np.log(2 * lab + 1.0) - np.log(ell // 2 + lab + 1.0))
+    if family == Family.PF:
+        i = np.arange(ell // 2 + 1)
+        out = np.full(ell + 1, -np.inf)
+        out[ell::-2] = np.logaddexp.accumulate(
+            i * math.log(N - 1) + _per_element_log_D(Family.TL, N, ell, ell // 2 - i))
+        return out[lab]
+    t, lv = IRREPS[Family.SUN].log_vandermonde(lab)
+    return math.lgamma(ell + 1) + lv - sum(_lg(col + 1) for col in t.T)
+
+
+@pytest.mark.parametrize("family, N, L, L_A", [
+    # small chains, the closed_forms benchmark's sizes, and asymmetric cuts
+    # (both ways round for SU(3), whose pairing walks L_A when it is the larger half)
+    (Family.U1, 2, 14, 7), (Family.U1, 2, 10**6, 5 * 10**5), (Family.U1, 2, 1000, 300),
+    (Family.SUN, 2, 16, 8), (Family.SUN, 2, 8192, 4096), (Family.SUN, 2, 1000, 200),
+    (Family.TL, 3, 16, 8), (Family.TL, 3, 8192, 4096), (Family.TL, 3, 1000, 300),
+    (Family.PF, 3, 16, 8), (Family.PF, 3, 8192, 4096), (Family.PF, 3, 1000, 300),
+    (Family.SUN, 3, 12, 6), (Family.SUN, 3, 768, 384), (Family.SUN, 3, 300, 90),
+    (Family.SUN, 3, 300, 210),
+    (Family.SUN, 4, 16, 8), (Family.SUN, 4, 128, 64), (Family.SUN, 4, 128, 32),
+])
+def test_log_D_is_the_per_element_lgamma_formula(family, N, L, L_A):
+    spec = CommutantSpec(family, N, L, L_A)
+    lab_A, lab_B = spec.irreps.pair(spec)
+    ls = sector_log_arrays(spec)
+    for got, ell, lab in ((ls.log_DA, L_A, lab_A), (ls.log_DB, L - L_A, lab_B)):
+        want = _per_element_log_D(family, N, ell, lab)
+        assert got.dtype == want.dtype and np.array_equal(got, want), ell
+    assert ls.log_D0 == _lse(ls.log_pc + _per_element_log_D(family, N, L_A, lab_A)
+                             + _per_element_log_D(family, N, L - L_A, lab_B))
+
+
+def test_lse_leaves_its_argument_unchanged():
+    for x in (np.array([0.5, -1.0, 3.0, -np.inf]), np.full(3, -np.inf)):
+        kept = x.copy()
+        m = float(np.max(x))
+        want = m if m == -np.inf else m + math.log(sum(math.exp(v - m) for v in x.tolist()))
+        assert _lse(x) == pytest.approx(want, rel=1e-15)
+        assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("N, L, L_A", [
+    # the cap L/N against L_A: below (half cuts), at, and above it; and
+    # L_A > L_B, where the pairing keeps its own capped walk of L_A
+    (3, 48, 24), (4, 64, 32), (5, 60, 30), (3, 18, 6), (4, 16, 4), (3, 30, 6), (4, 40, 8),
+    (3, 30, 24), (4, 64, 48),
+])
+def test_paired_partitions_from_the_shared_walk(N, L, L_A):
+    spec = CommutantSpec(Family.SUN, N, L, L_A)
+    irr = spec.irreps
+    lab = irr.labels(N, spec.L_min)
+    for got, want in zip(irr.pair(spec, lab), irr.pair(spec)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)  # order included
+    assert enumerate_sectors(spec, lab) == enumerate_sectors(spec)

@@ -5,9 +5,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import statent
+import statent.commutants as com
 from statent.commutants import (
     CommutantSpec,
     Family,
@@ -211,6 +213,62 @@ def test_sun_r3_convolution_matches_enumeration():
         )
 
 
+def _per_element_sun_r3(N: int, L: int) -> float:
+    """sun_renyi3_half_chain with one math.lgamma per binomial: the reference."""
+    LA, a = L // 2, L // N + N - 1
+    M = LA + N * (N - 1) // 2
+    log_g = np.array([math.lgamma(a + 1) - math.lgamma(x + 1) - math.lgamma(a - x + 1)
+                      for x in range(a + 1)])
+    shift = float(np.max(log_g))
+    g = np.exp(log_g - shift)
+    ps = []
+    for i in range(1, N + 1):
+        p = np.zeros(i * a + 1)
+        p[::i] = g**i
+        ps.append(p)
+    es = [np.ones(1)]
+    for k in range(1, N + 1):
+        acc = np.zeros(k * a + 1)
+        for i in range(1, k + 1):
+            term = np.convolve(es[k - i], ps[i - 1])
+            acc[: term.size] += (1.0 if (i - 1) % 2 == 0 else -1.0) * term
+        es.append(acc / k)
+    lsf = math.log(com._superfactorial(N))
+    log_sum = 2 * math.lgamma(LA + 1) + 2 * lsf - N * math.lgamma(a + 1) \
+        + N * shift + math.log(float(es[N][M]))
+    log_D0 = math.lgamma(L + 1) + lsf
+    for i in range(N):
+        log_D0 -= math.lgamma(L // N + i + 1)
+    return -(log_sum - log_D0)
+
+
+@pytest.mark.parametrize("N, L", [(3, 12), (3, 60), (4, 24), (5, 30), (3, 9000), (4, 12000),
+                                  (5, 15000)])
+def test_sun_r3_reads_the_per_element_lgamma_formula(N, L):
+    assert sun_renyi3_half_chain(N, L) == _per_element_sun_r3(N, L)
+
+
+@pytest.mark.parametrize("backend", ["exact", "log"])
+@pytest.mark.parametrize("N, L, L_A, walks", [
+    (3, 48, 24, 1), (4, 64, 32, 1), (3, 48, 12, 1),
+    (3, 48, 36, 2),  # L_A > L_B: the pairing walks L_A, capped, on top of the L_min table
+])
+def test_one_partition_walk_per_report(monkeypatch, backend, N, L, L_A, walks):
+    spec = CommutantSpec(Family.SUN, N, L, L_A)
+    want = compute_report(spec, backend=backend)
+    calls = []
+
+    def counting(ell, n, cap):
+        calls.append((ell, n, cap))
+        return real(ell, n, cap)
+
+    real = com.sun_partitions
+    monkeypatch.setattr(com, "sun_partitions", counting)
+    got = compute_report(spec, backend=backend)
+    assert calls[0] == (spec.L_min, N, spec.L_min) and len(calls) == walks
+    assert repr(got) == repr(want)
+
+
 def test_compute_report_backends():
     spec = CommutantSpec(Family.TL, 3, 16, 8)
     rep_e = compute_report(spec, backend="exact")
@@ -307,6 +365,48 @@ def test_log_backend_reach_one_million():
     assert got["E_N"]["tl3"] / 10**6 == pytest.approx(0.1116, abs=1e-3)  # Read-Saleur volume law
     assert got["E_N"]["pf3"] == 0.0
     assert got["pf_S_OP"][0] <= got["pf_S_OP"][1]
+
+
+def test_u1_million_report_memory():
+    # tracemalloc's peak over the report: the shared log-factorial table is
+    # dropped before D_0 is summed and _lse exponentiates in place, so at most
+    # seven half-chain float arrays are alive at once (26.7 MiB); eight read 30.5
+    code = textwrap.dedent("""
+        import tracemalloc
+        from statent import CommutantSpec, Family, compute_report
+        spec = CommutantSpec(Family.U1, 2, 10**6, 5 * 10**5)
+        tracemalloc.start()
+        compute_report(spec, backend="log")
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    src = os.path.dirname(os.path.dirname(statent.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= 30.5 * 2**20
+
+
+def test_sun_report_refuses_too_many_partitions():
+    # in a child interpreter with a timeout, as below; the off-half cut walks
+    # its 100-site table and is refused at the capped walk of L_A = 900
+    code = textwrap.dedent("""
+        from statent.commutants import CommutantSpec, Family, TooManySectors
+        from statent.entanglement import compute_report
+        for L_A in (5000, 900):
+            for backend in ("exact", "log"):
+                try:
+                    compute_report(CommutantSpec(Family.SUN, 5, 10000 if L_A == 5000 else 1000,
+                                                 L_A), backend=backend)
+                except TooManySectors as exc:
+                    print(str(exc).split()[0])
+    """)
+    src = os.path.dirname(os.path.dirname(statent.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    half = f"~{com.IRREPS[Family.SUN].estimate(5, 5000)}"
+    off = f"~{com.IRREPS[Family.SUN].estimate(5, 900)}"
+    assert out.stdout.split() == [half, half, off, off]
 
 
 def test_sun_bounds_refuse_too_many_partitions():
