@@ -96,7 +96,7 @@ def predicted_law(family: Family, N: int, quantity: str, n: float | None = None)
     """The large-L law for (family, quantity), quantity in en|r3|sop|rtilde.
 
     rtilde needs the index n.  Everything is in nats of the half-chain value
-    as a function of total length L.
+    as a function of total length L.  TL(2) is SU(2) at q = 1 and reads its laws.
     """
     q = quantity.lower()
     if family == Family.U1:
@@ -104,7 +104,7 @@ def predicted_law(family: Family, N: int, quantity: str, n: float | None = None)
             return ScalingLaw("const", 0.0, 0.0)
         if q == "sop":
             return ScalingLaw("log", 0.5, 0.5 + math.log(math.sqrt(2 * math.pi) / 4.0))
-    elif family == Family.SUN and N == 2:
+    elif family in (Family.SUN, Family.TL) and N == 2:
         if q == "en":
             return ScalingLaw("log", 0.5, math.log(math.sqrt(2.0 / math.pi)))
         if q == "r3":

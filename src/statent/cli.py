@@ -541,6 +541,8 @@ def build_config(argv) -> RunConfig:
         raise Inadmissible(f"need a finite --tol >= 0, got {cfg.tol!r}")
     if cfg.max_sweeps < 1:
         raise Inadmissible(f"need --max-sweeps >= 1, got {cfg.max_sweeps}")
+    if cfg.dim_cap < 1:
+        raise Inadmissible(f"need --dim-cap >= 1, got {cfg.dim_cap}")
     return cfg
 
 

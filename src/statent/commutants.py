@@ -186,22 +186,25 @@ def sun_irrep_dims(N: int, ell: int, lam: tuple[int, ...]) -> tuple[int, int]:
     return d, D
 
 
-def sun_partitions(ell: int, N: int, cap: int) -> Iterator[tuple[int, ...]]:
+def sun_partitions(ell: int, N: int, cap: int) -> np.ndarray:
     """Partitions of ell into at most N parts, each <= cap, padded to length N.
 
-    Emitted with the leading part descending (lexicographically descending).
+    One int64 row per partition, shape (0, N) if there is none, in
+    lexicographically descending order.  Built one part at a time: a prefix
+    with `rem` left over and last part `hi` takes every next part p from
+    min(hi, rem) down to ceil(rem / slots), the least that still fits in the
+    slots left, so every prefix completes.
     """
-
-    def rec(remaining: int, acc: list[int], hi: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if remaining <= hi:
-                yield tuple(acc + [remaining])
-            return
-        lo = -(-remaining // slots)  # smallest admissible leading part (ceil)
-        for p in range(min(hi, remaining), lo - 1, -1):
-            yield from rec(remaining - p, acc + [p], p, slots - 1)
-
-    yield from rec(ell, [], cap, N)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem, hi = np.array([ell], dtype=np.int64), np.array([cap], dtype=np.int64)
+    for slots in range(N, 0, -1):
+        top = np.minimum(hi, rem)
+        count = np.maximum(top + rem // -slots + 1, 0)  # top - ceil(rem / slots) + 1
+        src = np.repeat(np.arange(len(rem)), count)
+        p = top[src] - (np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count))
+        rows = np.column_stack((rows[src], p))
+        rem, hi = rem[src] - p, p
+    return rows
 
 
 def pf_pattern_count(N: int, M: int) -> int:
@@ -270,10 +273,8 @@ class Irreps:
     log_factorials table of at least ell + N entries).  Defaults: pc = d = 1.
     """
 
-    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-        if lab is None:
-            lab = self.labels(spec.N, spec.L_min)
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+        lab = self.labels(spec.N, spec.L_min)
         return lab, lab
 
     def estimate(self, N: int, ell: int) -> int:
@@ -297,8 +298,7 @@ class U1Irreps(Irreps):
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(ell + 1)
 
-    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         kA = np.arange(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
         return kA, spec.L // 2 - kA  # M_A + M_B = 0
 
@@ -369,8 +369,7 @@ class SUNIrreps(Irreps):
         if (est := self.estimate(N, ell)) > SECTOR_ENUM_CAP:
             raise TooManySectors(f"~{est} SU({N}) partitions of {ell} sites; only the "
                                  "half-chain R3/R4 fast path is available at this size")
-        parts = sun_partitions(ell, N, ell if cap is None else cap)
-        return np.array(list(parts), dtype=np.int64).reshape(-1, N)
+        return sun_partitions(ell, N, ell if cap is None else cap)
 
     def estimate(self, N: int, ell: int) -> int:
         """Upper estimate of the partitions of ell into at most N parts.
@@ -385,13 +384,9 @@ class SUNIrreps(Irreps):
                 p[n] += p[n - k]
         return max(p[ell], math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
 
-    def pair(self, spec: CommutantSpec, lab: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         c = spec.L // spec.N
-        if lab is not None and spec.L_A == spec.L_min:
-            lam = lab[lab[:, 0] <= c]  # the capped walk's rows, in its (descending) order
-        else:
-            lam = self.labels(spec.N, spec.L_A, cap=c)
+        lam = self.labels(spec.N, spec.L_A, cap=c)
         return lam, c - lam[:, ::-1]
 
     def name(self, ell: int, lam: list[int]) -> tuple[int, ...]:
@@ -423,23 +418,22 @@ IRREPS: dict[Family, Irreps] = {Family.U1: U1Irreps(), Family.TL: BallotIrreps()
 
 
 # ---------------------------------------------------------------------------
-# readers of the table: paired sectors, D_0, bounds, log arrays; lab, if
-# given, is irreps.labels(N, L_min), walked once by a caller that reads it twice
+# readers of the table: paired sectors, D_0, bounds, log arrays
 # ---------------------------------------------------------------------------
 
-def iter_sectors(spec: CommutantSpec, lab: np.ndarray | None = None) -> Iterator[IrrepRecord]:
+def iter_sectors(spec: CommutantSpec) -> Iterator[IrrepRecord]:
     """Stream IrrepRecords for all irreps admissible on both L_A and L_B."""
     irr, N = spec.irreps, spec.N
-    lab_A, lab_B = irr.pair(spec, lab)
+    lab_A, lab_B = irr.pair(spec)
     for a, b in zip(lab_A.tolist(), lab_B.tolist()):
         pc, d = irr.pc_d(N, a)
         yield IrrepRecord(label=irr.name(spec.L_A, a), d=d, D_A=irr.D(N, spec.L_A, a),
                           D_B=irr.D(N, spec.L_B, b), pattern_count=pc)
 
 
-def enumerate_sectors(spec: CommutantSpec, lab: np.ndarray | None = None) -> list[IrrepRecord]:
+def enumerate_sectors(spec: CommutantSpec) -> list[IrrepRecord]:
     """Complete bipartite-paired sector list (see iter_sectors)."""
-    return list(iter_sectors(spec, lab))
+    return list(iter_sectors(spec))
 
 
 def singlet_dimension(spec: CommutantSpec) -> int:
@@ -451,22 +445,21 @@ def singlet_dimension(spec: CommutantSpec) -> int:
     return sum(r.weight for r in iter_sectors(spec))
 
 
-def _log_pc_d_on_min_half(spec: CommutantSpec, lab: np.ndarray | None
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def _log_pc_d_on_min_half(spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
     """(log pc, log d) over ALL irreps on the smaller half, paired or not."""
     irr = spec.irreps
-    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min) if lab is None else lab)
+    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min))
 
 
-def commutant_dimension(spec: CommutantSpec, lab: np.ndarray | None = None) -> LogReal:
+def commutant_dimension(spec: CommutantSpec) -> LogReal:
     """dim C(L_min) = sum over every irrep on the smaller half of pc * d^2."""
-    log_pc, log_d = _log_pc_d_on_min_half(spec, lab)
+    log_pc, log_d = _log_pc_d_on_min_half(spec)
     return LogReal(_lse(log_pc + 2 * log_d))
 
 
-def max_log_degeneracy(spec: CommutantSpec, lab: np.ndarray | None = None) -> float:
+def max_log_degeneracy(spec: CommutantSpec) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
-    return float(np.max(_log_pc_d_on_min_half(spec, lab)[1]))
+    return float(np.max(_log_pc_d_on_min_half(spec)[1]))
 
 
 @dataclass
@@ -495,14 +488,14 @@ def _lse(x: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(y, out=y))))
 
 
-def sector_log_arrays(spec: CommutantSpec, lab: np.ndarray | None = None) -> LogSectors:
+def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     """Log-domain analogue of enumerate_sectors (float64 arrays).
 
     Both halves read one log_factorials table (shifted SU(N) parts reach
     ell + N - 1); it and the labels are freed before log D_0 is summed.
     """
     irr, N = spec.irreps, spec.N
-    lab_A, lab_B = irr.pair(spec, lab)
+    lab_A, lab_B = irr.pair(spec)
     lgf = log_factorials(max(spec.L_A, spec.L_B) + N - 1)
     log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lgf), irr.log_D(N, spec.L_B, lab_B, lgf)
     log_pc, log_d = irr.log_pc_d(N, lab_A)

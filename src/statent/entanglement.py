@@ -182,11 +182,11 @@ class Bounds:
         return min(self.log_max_d, 0.5 * self.log_dim_c_min)
 
 
-def upper_bounds(spec: CommutantSpec, lab: np.ndarray | None = None) -> Bounds:
-    """The bounds over the irreps on the smaller half (lab: their labels, if at hand)."""
+def upper_bounds(spec: CommutantSpec) -> Bounds:
+    """The bounds over the irreps on the smaller half."""
     return Bounds(
-        log_dim_c_min=commutant_dimension(spec, lab).log_value(),
-        log_max_d=max_log_degeneracy(spec, lab),
+        log_dim_c_min=commutant_dimension(spec).log_value(),
+        log_max_d=max_log_degeneracy(spec),
     )
 
 
@@ -223,17 +223,13 @@ def compute_report(
     backend: str = "auto",
 ) -> EntanglementReport:
     exact = pick_backend(spec, backend) == "exact"
-    # one walk of the smaller half's labels, read by the pairing and the
-    # bounds, and dropped before S_OP and the moments are summed
-    lab = spec.irreps.labels(spec.N, spec.L_min)
     if exact:
-        sectors = enumerate_sectors(spec, lab)
+        sectors = enumerate_sectors(spec)
         D0 = sum(r.weight for r in sectors)  # = singlet_dimension(spec)
         ls = _exact_table(sectors, D0)
     else:
-        ls = sector_log_arrays(spec, lab)
-    bounds = upper_bounds(spec, lab)
-    del lab
+        ls = sector_log_arrays(spec)
+    bounds = upper_bounds(spec)
     # S_OP through each backend's public function, which perfbench's per-layer
     # trace times as that backend's evaluation (exact_eval / log_eval)
     sop = (operator_space_entanglement(sectors, D0) if exact

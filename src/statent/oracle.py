@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -120,26 +120,31 @@ def _swap(N: int) -> np.ndarray:
 
 
 def _tl_e(N: int) -> np.ndarray:
-    v = np.zeros(N * N)
-    for s in range(N):
-        v[s * N + s] = 1.0
+    v = np.eye(N).ravel()  # sum_s |ss>
     return np.outer(v, v)  # = N |singlet><singlet|
+
+
+def _flip(N: int, a: int, b: int) -> np.ndarray:
+    """The two-site flip |a><b| + |b><a| between two-site basis states a != b."""
+    h = np.zeros((N * N, N * N))
+    h[a, b] = h[b, a] = 1.0
+    return h
 
 
 def build_kraus(family: Family, N: int, L: int, dim_cap: int = DEFAULT_DIM_CAP) -> KrausSet:
     """Local Hermitian Kraus channels whose commutant is the requested family.
 
-    SU(N): {(1+P)/2, (1-P)/2} per bond (P the two-site swap).
-    TL(N): {e/N, 1 - e/N} per bond with e = sum |ss><s's'|; e^2 = N e makes
-           this trace preserving for every N (and for N = 3 it is the e/3
-           set; for N = 2 it coincides with the SU(2) projector pair).
-    U(1):  per bond {1/sqrt(2), hop/sqrt(2), stay/sqrt(2)} with hop the
-           hopping flip |01><10|+h.c. and stay = 1 - hop^2, plus a
-           projective S^z dephasing channel per site.
-    PF(N): per bond one channel {1/sqrt(2), h/sqrt(2), (1-h^2)/sqrt(2)} for
-           every color pair (h the pair flip), plus the same dephasing.
+    Every chain is built from two channel shapes:
+    a projector pair {Pi, 1 - Pi} per bond, with
+      SU(N): Pi = (1 + P)/2 (P the two-site swap),
+      TL(N): Pi = e/N with e = sum |ss><s's'|; e^2 = N e makes this a
+             projector for every N (for N = 2 it is the SU(2) singlet one);
+    or lazy flips {1, h, 1 - h^2}/sqrt(2) per bond, one channel per flip h,
+    then a projective dephasing channel {|s><s|} per site, with
+      U(1):  h the hopping flip |01><10| + h.c.,
+      PF(N): h the pair flip |ss><tt| + h.c., one per color pair s < t.
 
-    The identity component in the U(1)/PF sets makes the channel lazy: the
+    The identity component makes the flip channels lazy: the
     bare flip acts unitarily inside its two-state subspace, so without it
     the sweep has a -1 eigenvalue and the iteration cycles instead of
     converging.  The identity is in the bond algebra anyway, so the
@@ -148,48 +153,21 @@ def build_kraus(family: Family, N: int, L: int, dim_cap: int = DEFAULT_DIM_CAP) 
     """
     if N**L > dim_cap:
         raise TooLarge(f"N^L = {N**L} exceeds cap {dim_cap}")
-    ks = KrausSet(family, N, L)
-    if family == Family.SUN:
-        P = _swap(N)
-        eye = np.eye(N * N)
-        for j in range(L - 1):
-            ks.channels.append(LocalChannel((j, j + 1), [(eye + P) / 2, (eye - P) / 2]))
-    elif family == Family.TL:
-        e = _tl_e(N)
-        eye = np.eye(N * N)
-        for j in range(L - 1):
-            ks.channels.append(LocalChannel((j, j + 1), [e / N, eye - e / N]))
-    elif family == Family.U1:
-        if N != 2:
-            raise ValueError("U(1) family is defined for N = 2")
-        hop = np.zeros((4, 4))
-        hop[1, 2] = hop[2, 1] = 1.0  # |01><10| + |10><01|
-        stay = np.eye(4) - np.diag([0.0, 1.0, 1.0, 0.0])
+    if family == Family.U1 and N != 2:
+        raise ValueError("U(1) family is defined for N = 2")
+    eye = np.eye(N * N)
+    if family in (Family.SUN, Family.TL):
+        Pi = (eye + _swap(N)) / 2 if family == Family.SUN else _tl_e(N) / N
+        bond, site = [[Pi, eye - Pi]], []
+    else:
+        flips = [_flip(N, 1, N)] if family == Family.U1 else [
+            _flip(N, s * N + s, t * N + t) for s in range(N) for t in range(s + 1, N)]
         r = 1.0 / math.sqrt(2.0)
-        for j in range(L - 1):
-            ks.channels.append(
-                LocalChannel((j, j + 1), [r * np.eye(4), r * hop, r * stay])
-            )
-        for j in range(L):
-            ks.channels.append(
-                LocalChannel((j,), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-            )
-    elif family == Family.PF:
-        eye = np.eye(N * N)
-        r = 1.0 / math.sqrt(2.0)
-        for j in range(L - 1):
-            for s in range(N):
-                for t in range(s + 1, N):
-                    h = np.zeros((N * N, N * N))
-                    h[s * N + s, t * N + t] = h[t * N + t, s * N + s] = 1.0
-                    ks.channels.append(
-                        LocalChannel((j, j + 1), [r * eye, r * h, r * (eye - h @ h)])
-                    )
-        for j in range(L):
-            projs = [np.diag([1.0 if a == s else 0.0 for a in range(N)]) for s in range(N)]
-            ks.channels.append(LocalChannel((j,), projs))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {family}")
+        bond = [[r * eye, r * h, r * (eye - h @ h)] for h in flips]
+        site = [[np.diag(e) for e in np.eye(N)]]
+    ks = KrausSet(family, N, L, [LocalChannel((j, j + 1), ops)
+                                 for j in range(L - 1) for ops in bond]
+                  + [LocalChannel((j,), ops) for j in range(L) for ops in site])
     defect = ks.completeness_defect
     if defect > 1e-12:
         raise AssertionError(f"Kraus completeness defect {defect}")
@@ -475,43 +453,28 @@ def iterate_with_trajectory(
 def singlet_product_state(family: Family, N: int, L: int) -> DenseState:
     """A pure product-of-singlets state inside the lambda_tot = 0 sector.
 
-    SU(N): antisymmetrized N-site blocks; TL(N): two-site dimers
-    sum_s |ss>/sqrt(N); U(1): the Neel product state (M_tot = 0); PF(N): the
-    all-zeros product state (empty dot pattern).
+    The Kronecker power of one block: the antisymmetrized N-site block for
+    SU(N), the two-site dimer sum_s |ss>/sqrt(N) for TL(N), |01> for U(1)
+    (the Neel state, M_tot = 0) and |0> for PF(N) (the all-zeros state,
+    empty dot pattern).  ValueError unless L is a whole number of blocks.
     """
     if family == Family.SUN:
         block = np.zeros(N**N)
         for perm in permutations(range(N)):
-            idx = 0
-            for s in perm:
-                idx = idx * N + s
             inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            block[idx] = (-1.0) ** inversions
+            block[np.ravel_multi_index(perm, (N,) * N)] = (-1.0) ** inversions
         block /= np.linalg.norm(block)
-        psi = block
-        for _ in range(L // N - 1):
-            psi = np.kron(psi, block)
+        width = N
     elif family == Family.TL:
-        dimer = np.zeros(N * N)
-        for s in range(N):
-            dimer[s * N + s] = 1.0
-        dimer /= math.sqrt(N)
-        psi = dimer
-        for _ in range(L // 2 - 1):
-            psi = np.kron(psi, dimer)
+        block, width = np.eye(N).ravel() / math.sqrt(N), 2
     elif family == Family.U1:
-        idx = 0
-        for j in range(L):
-            idx = idx * 2 + (j % 2)
-        psi = np.zeros(2**L)
-        psi[idx] = 1.0
-    elif family == Family.PF:
-        psi = np.zeros(N**L)
-        psi[0] = 1.0
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {family}")
-    rho = np.outer(psi, psi)
-    return DenseState(rho, [N] * L)
+        block, width = np.eye(N * N)[1], 2
+    else:
+        block, width = np.eye(N)[0], 1
+    if L < width or L % width:
+        raise ValueError(f"{family.value.upper()}({N}) seed needs L = 0 mod {width}, got L={L}")
+    psi = reduce(np.kron, [block] * (L // width))
+    return DenseState(np.outer(psi, psi), [N] * L)
 
 
 def stationary_state(spec: CommutantSpec) -> DenseState:

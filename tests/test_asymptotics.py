@@ -34,6 +34,10 @@ def test_predicted_law_examples():
     assert law.kind == "upper_bound" and law.coefficient == pytest.approx(0.75)
     with pytest.raises(Unsupported):
         predicted_law(Family.U1, 2, "rtilde")
+    for q in ("en", "r3", "sop"):  # TL(2) is SU(2) at q = 1
+        assert predicted_law(Family.TL, 2, q) == predicted_law(Family.SUN, 2, q)
+    with pytest.raises(Unsupported, match="family=tl"):
+        predicted_law(Family.TL, 2, "rtilde", n=0.5)
 
 
 def test_tl_linear_coefficient_values():

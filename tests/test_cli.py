@@ -62,6 +62,9 @@ def test_malformed_quantity_exit_2(token, capsys):
     ["haar", "--family", "su2", "--L", "4", "--samples", "0"],
     ["haar", "--family", "su2", "--L", "4", "--seed", "-1"],
     ["asymptote", "--family", "tl", "--N", "3", "--quantities", "rt2"],
+    ["asymptote", "--family", "tl", "--N", "2", "--quantities", "rt0.5"],
+    ["oracle", "--family", "su2", "--L", "4", "--dim-cap", "-1"],
+    ["oracle", "--family", "su2", "--L", "4", "--dim-cap", "0"],
 ])
 def test_bad_input_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -230,6 +233,14 @@ def test_asymptote_rows_match_single_quantity_runs(capsys):
         code, single, _ = run_cli(base + ["--quantities", q], capsys)
         assert code == 0
         assert single.splitlines() == [rows[0], row]
+
+
+def test_asymptote_tl2_reads_the_su2_laws(capsys):
+    # TL(2) is SU(2) at q = 1: same reports, so the same laws and fits
+    args = ["asymptote", "--quantities", "en,r3,sop"]
+    code, su2, _ = run_cli(args + ["--family", "su2"], capsys)
+    assert code == 0
+    assert run_cli(args + ["--family", "tl", "--N", "2"], capsys) == (0, su2, "")
 
 
 def test_asymptote_without_law_exit_2(capsys):

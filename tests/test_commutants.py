@@ -194,7 +194,7 @@ def test_total_dimension_identity():
                 )
             elif fam == Family.SUN:
                 total = 0
-                for lam in sun_partitions(ell, N, ell):
+                for lam in sun_partitions(ell, N, ell).tolist():
                     d, D = sun_irrep_dims(N, ell, lam)
                     total += d * D
             else:
@@ -346,16 +346,45 @@ def test_lse_leaves_its_argument_unchanged():
         assert np.array_equal(x, kept)
 
 
+def _reference_sun_partitions(ell: int, N: int, cap: int):
+    """The recursive generator sun_partitions replaced: tuples, lexicographically descending."""
+
+    def rec(remaining, acc, hi, slots):
+        if slots == 1:
+            if remaining <= hi:
+                yield tuple(acc + [remaining])
+            return
+        lo = -(-remaining // slots)  # smallest admissible leading part (ceil)
+        for p in range(min(hi, remaining), lo - 1, -1):
+            yield from rec(remaining - p, acc + [p], p, slots - 1)
+
+    yield from rec(ell, [], cap, N)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_sun_partitions_are_the_recursive_walk(N):
+    for ell in range(41):
+        # caps below, at and above ell; one below ceil(ell / N) leaves no partition
+        for cap in sorted({0, max(ell // N - 1, 0), -(-ell // N), ell // 2, max(ell - 1, 0),
+                           ell, ell + 3}):
+            want = list(_reference_sun_partitions(ell, N, cap))
+            got = sun_partitions(ell, N, cap)
+            assert got.dtype == np.int64 and got.shape == (len(want), N), (ell, cap)
+            assert [tuple(row) for row in got.tolist()] == want, (ell, cap)
+
+
 @pytest.mark.parametrize("N, L, L_A", [
     # the cap L/N against L_A: below (half cuts), at, and above it; and
-    # L_A > L_B, where the pairing keeps its own capped walk of L_A
+    # L_A > L_B, where the pairing walks the larger half
     (3, 48, 24), (4, 64, 32), (5, 60, 30), (3, 18, 6), (4, 16, 4), (3, 30, 6), (4, 40, 8),
     (3, 30, 24), (4, 64, 48),
 ])
-def test_paired_partitions_from_the_shared_walk(N, L, L_A):
+def test_pair_is_the_capped_walk_of_L_A(N, L, L_A):
     spec = CommutantSpec(Family.SUN, N, L, L_A)
-    irr = spec.irreps
-    lab = irr.labels(N, spec.L_min)
-    for got, want in zip(irr.pair(spec, lab), irr.pair(spec)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)  # order included
-    assert enumerate_sectors(spec, lab) == enumerate_sectors(spec)
+    c = L // N
+    want = np.array(list(_reference_sun_partitions(L_A, N, c)), dtype=np.int64).reshape(-1, N)
+    lam_A, lam_B = spec.irreps.pair(spec)
+    assert lam_A.dtype == lam_B.dtype == np.int64
+    assert np.array_equal(lam_A, want)  # order included
+    assert np.array_equal(lam_B, c - want[:, ::-1])
+    assert [r.label for r in enumerate_sectors(spec)] == [tuple(row) for row in want.tolist()]

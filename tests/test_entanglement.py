@@ -248,27 +248,6 @@ def test_sun_r3_reads_the_per_element_lgamma_formula(N, L):
     assert sun_renyi3_half_chain(N, L) == _per_element_sun_r3(N, L)
 
 
-@pytest.mark.parametrize("backend", ["exact", "log"])
-@pytest.mark.parametrize("N, L, L_A, walks", [
-    (3, 48, 24, 1), (4, 64, 32, 1), (3, 48, 12, 1),
-    (3, 48, 36, 2),  # L_A > L_B: the pairing walks L_A, capped, on top of the L_min table
-])
-def test_one_partition_walk_per_report(monkeypatch, backend, N, L, L_A, walks):
-    spec = CommutantSpec(Family.SUN, N, L, L_A)
-    want = compute_report(spec, backend=backend)
-    calls = []
-
-    def counting(ell, n, cap):
-        calls.append((ell, n, cap))
-        return real(ell, n, cap)
-
-    real = com.sun_partitions
-    monkeypatch.setattr(com, "sun_partitions", counting)
-    got = compute_report(spec, backend=backend)
-    assert calls[0] == (spec.L_min, N, spec.L_min) and len(calls) == walks
-    assert repr(got) == repr(want)
-
-
 def test_compute_report_backends():
     spec = CommutantSpec(Family.TL, 3, 16, 8)
     rep_e = compute_report(spec, backend="exact")

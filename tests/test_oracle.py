@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -595,3 +596,119 @@ def test_trajectory_rows_equal_dense_quantities(fam, N, L, cut):
         assert row["S_OP"] == dense_ose(st, cut)
         w, lam = pt_eigenvalues(st, cut), rho_spectrum(st)
         assert orc.generalized_renyi_from(w, lam, 1.5) == dense_generalized_renyi(st, cut, 1.5)
+
+
+def _reference_channels(family: Family, N: int, L: int) -> list[tuple[tuple[int, ...], list]]:
+    """The per-family Kraus construction build_kraus replaced, as (sites, ops) in order."""
+    out = []
+    eye = np.eye(N * N)
+    if family == Family.SUN:
+        P = np.zeros((N * N, N * N))
+        for a in range(N):
+            for b in range(N):
+                P[b * N + a, a * N + b] = 1.0
+        for j in range(L - 1):
+            out.append(((j, j + 1), [(eye + P) / 2, (eye - P) / 2]))
+    elif family == Family.TL:
+        v = np.zeros(N * N)
+        for s in range(N):
+            v[s * N + s] = 1.0
+        e = np.outer(v, v)
+        for j in range(L - 1):
+            out.append(((j, j + 1), [e / N, eye - e / N]))
+    elif family == Family.U1:
+        hop = np.zeros((4, 4))
+        hop[1, 2] = hop[2, 1] = 1.0
+        stay = np.eye(4) - np.diag([0.0, 1.0, 1.0, 0.0])
+        r = 1.0 / math.sqrt(2.0)
+        for j in range(L - 1):
+            out.append(((j, j + 1), [r * np.eye(4), r * hop, r * stay]))
+        for j in range(L):
+            out.append(((j,), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    else:
+        r = 1.0 / math.sqrt(2.0)
+        for j in range(L - 1):
+            for s in range(N):
+                for t in range(s + 1, N):
+                    h = np.zeros((N * N, N * N))
+                    h[s * N + s, t * N + t] = h[t * N + t, s * N + s] = 1.0
+                    out.append(((j, j + 1), [r * eye, r * h, r * (eye - h @ h)]))
+        for j in range(L):
+            out.append(((j,), [np.diag([1.0 if a == s else 0.0 for a in range(N)])
+                               for s in range(N)]))
+    return out
+
+
+def _reference_seed(family: Family, N: int, L: int) -> np.ndarray:
+    """The per-family product state singlet_product_state replaced (its vector psi)."""
+    if family == Family.SUN:
+        block = np.zeros(N**N)
+        for perm in permutations(range(N)):
+            idx = 0
+            for s in perm:
+                idx = idx * N + s
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            block[idx] = (-1.0) ** inversions
+        block /= np.linalg.norm(block)
+        psi = block
+        for _ in range(L // N - 1):
+            psi = np.kron(psi, block)
+    elif family == Family.TL:
+        dimer = np.zeros(N * N)
+        for s in range(N):
+            dimer[s * N + s] = 1.0
+        dimer /= math.sqrt(N)
+        psi = dimer
+        for _ in range(L // 2 - 1):
+            psi = np.kron(psi, dimer)
+    elif family == Family.U1:
+        idx = 0
+        for j in range(L):
+            idx = idx * 2 + (j % 2)
+        psi = np.zeros(2**L)
+        psi[idx] = 1.0
+    else:
+        psi = np.zeros(N**L)
+        psi[0] = 1.0
+    return psi
+
+
+@pytest.mark.parametrize("fam, N", [
+    (Family.SUN, 2), (Family.SUN, 3), (Family.SUN, 4), (Family.TL, 2), (Family.TL, 3),
+    (Family.TL, 4), (Family.U1, 2), (Family.PF, 2), (Family.PF, 3), (Family.PF, 4),
+])
+def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
+    # the two channel shapes and the Kronecker-power seeds give the bytes of
+    # the per-family code they replaced, odd lengths included
+    width = {Family.SUN: N, Family.TL: 2, Family.U1: 2, Family.PF: 1}[fam]
+    for L in range(2, 9):
+        if N**L > 6561:
+            break
+        got = build_kraus(fam, N, L).channels
+        want = _reference_channels(fam, N, L)
+        assert [ch.sites for ch in got] == [sites for sites, _ in want]
+        for ch, (_, ops) in zip(got, want):
+            assert len(ch.ops) == len(ops)
+            for K, R in zip(ch.ops, ops):
+                assert K.dtype == R.dtype and K.shape == R.shape and K.tobytes() == R.tobytes()
+        if N**L > 729:  # dense seeds stay small
+            continue
+        if L % width:
+            with pytest.raises(ValueError, match="seed needs L = 0 mod"):
+                singlet_product_state(fam, N, L)
+            continue
+        st = singlet_product_state(fam, N, L)
+        psi = _reference_seed(fam, N, L)
+        assert st.site_dims == [N] * L
+        assert st.matrix.tobytes() == np.outer(psi, psi).tobytes()
+
+
+@pytest.mark.parametrize("fam, N, L", [
+    (Family.TL, 3, 5), (Family.SUN, 3, 5), (Family.SUN, 3, 2), (Family.U1, 2, 5),
+    (Family.U1, 2, 1),
+])
+def test_seed_refuses_a_partial_block(fam, N, L):
+    # TL(3) at L = 5 used to come back as an 81 x 81 state on five sites, SU(3)
+    # as 27 x 27; U(1) at odd L has no M = 0 sector
+    with pytest.raises(ValueError, match="seed needs L = 0 mod"):
+        singlet_product_state(fam, N, L)
