@@ -18,13 +18,15 @@ import sys
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import asymptotics, oracle
 from .commutants import CommutantSpec, Family, Inadmissible, TooManySectors
-from .entanglement import NAtTwo, compute_report, sun_renyi3_half_chain
+from .entanglement import (
+    EntanglementReport, NAtTwo, compute_report, sun_renyi3_half_chain,
+)
 from .su2cg import (
     HaarEnsembleSpec,
     MultipleCrossings,
@@ -49,7 +51,7 @@ class EmptyScan(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; round-trips losslessly through JSON."""
+    """Everything a run needs: the parsed flags over the --config file."""
 
     subcommand: str
     family: str = "su2"
@@ -75,35 +77,28 @@ class RunConfig:
     log2: bool = False
     timing: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        return RunConfig(**json.loads(text))
+# CLI family name -> (Family, the N the name fixes, if any)
+FAMILIES: dict[str, tuple[Family, int | None]] = {
+    "u1": (Family.U1, 2), "su2": (Family.SUN, 2), "sun": (Family.SUN, None),
+    "pf": (Family.PF, None), "tl": (Family.TL, None),
+}
 
 
-def resolve_family(name: str) -> tuple[Family, int | None]:
-    """CLI family token -> (Family, forced N)."""
-    name = name.lower()
-    if name == "u1":
-        return Family.U1, 2
-    if name == "su2":
-        return Family.SUN, 2
-    if name == "sun":
-        return Family.SUN, None
-    if name == "pf":
-        return Family.PF, None
-    if name == "tl":
-        return Family.TL, None
-    raise Inadmissible(f"unknown family {name!r} (u1 | su2 | sun | pf | tl)")
+def resolve_family(cfg: RunConfig) -> Family:
+    """The config's Family; a name that fixes N refuses a different --N."""
+    name = cfg.family.lower()
+    if name not in FAMILIES:
+        raise Inadmissible(f"unknown family {name!r} ({' | '.join(FAMILIES)})")
+    fam, fixed_N = FAMILIES[name]
+    if fixed_N not in (None, cfg.N):
+        raise Inadmissible(f"family {name} fixes N = {fixed_N}, got N={cfg.N}")
+    return fam
 
 
 def make_spec(cfg: RunConfig, L: int) -> CommutantSpec:
-    fam, forced_N = resolve_family(cfg.family)
-    N = forced_N if forced_N is not None else cfg.N
     cut = cfg.cut if cfg.cut is not None else L // 2
-    return CommutantSpec(fam, N, L, cut)
+    return CommutantSpec(resolve_family(cfg), cfg.N, L, cut)
 
 
 def _scale(cfg: RunConfig) -> float:
@@ -141,11 +136,23 @@ def _order(tok: str, text, kind: type) -> float:
     return n
 
 
-def _parse_quantities(cfg: RunConfig) -> tuple[bool, list[int], list[float], bool]:
-    """-> (want_en, renyi orders, rtilde orders, want_sop)."""
+class Quantity(typing.NamedTuple):
+    """One requested quantity: its row label (en, r3, rt1.5, sop), its place in
+    compute's document (a group, and a key in it unless the group is the
+    value), its index n, and the value it reads off a report."""
+
+    label: str
+    group: str
+    key: str | None
+    n: float | None
+    value: typing.Callable[[EntanglementReport], float]
+
+
+def _parse_quantities(cfg: RunConfig) -> list[Quantity]:
+    """The requested quantities once each, in output order: en, r<n> and rt<n> by index, sop."""
     want_en = want_sop = False
-    renyi: list[int] = []
-    rtilde: list[float] = []
+    renyi: set[int] = set()
+    rtilde: set[float] = set()
     for tok in cfg.quantities:
         t = tok.strip().lower()
         if t == "en":
@@ -153,14 +160,27 @@ def _parse_quantities(cfg: RunConfig) -> tuple[bool, list[int], list[float], boo
         elif t == "sop":
             want_sop = True
         elif t == "rtilde":
-            rtilde.extend(_order(f"rtilde n={n}", n, float) for n in cfg.n_grid)
+            rtilde.update(_order(f"rtilde n={n}", n, float) for n in cfg.n_grid)
         elif t.startswith("rt"):
-            rtilde.append(_order(tok, t[2:], float))
+            rtilde.add(_order(tok, t[2:], float))
         elif t.startswith("r"):
-            renyi.append(_order(tok, t[1:], int))
+            renyi.add(_order(tok, t[1:], int))
         else:
             raise Inadmissible(f"unknown quantity {tok!r}")
-    return want_en, sorted(set(renyi)), sorted(set(rtilde)), want_sop
+    qs = [Quantity("en", "en", None, None, lambda r: r.E_N)] if want_en else []
+    qs += [Quantity(f"r{n}", "r", str(n), n, lambda r, n=n: r.R[n]) for n in sorted(renyi)]
+    qs += [Quantity(f"rt{_fmt(n)}", "rtilde", _fmt(n), n, lambda r, n=n: r.R_tilde[n])
+           for n in sorted(rtilde)]
+    if want_sop:
+        qs.append(Quantity("sop", "sop", None, None, lambda r: r.S_OP))
+    return qs
+
+
+def _report(spec: CommutantSpec, qs: list[Quantity], backend: Backend) -> EntanglementReport:
+    """compute_report at the Renyi and rtilde orders the quantities read."""
+    return compute_report(spec, renyi_orders=[q.n for q in qs if q.group == "r"],
+                          rtilde_orders=[q.n for q in qs if q.group == "rtilde"],
+                          backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +192,16 @@ def cmd_compute(cfg: RunConfig) -> int:
         raise Inadmissible("compute needs --L")
     t0 = time.perf_counter()
     spec = make_spec(cfg, cfg.L)
-    want_en, renyi, rtilde, want_sop = _parse_quantities(cfg)
-    rep = compute_report(spec, renyi_orders=renyi, rtilde_orders=rtilde,
-                         backend=cfg.backend)
+    qs = _parse_quantities(cfg)
+    rep = _report(spec, qs, cfg.backend)
     wall = time.perf_counter() - t0
     s = _scale(cfg)
     quantities: dict = {}
-    if want_en:
-        quantities["en"] = rep.E_N * s
-    if renyi:
-        quantities["r"] = {str(n): rep.R[n] * s for n in renyi}
-    if rtilde:
-        quantities["rtilde"] = {_fmt(n): rep.R_tilde[n] * s for n in rtilde}
-    if want_sop:
-        quantities["sop"] = rep.S_OP * s
+    for q in qs:
+        if q.key is None:
+            quantities[q.group] = q.value(rep) * s
+        else:
+            quantities.setdefault(q.group, {})[q.key] = q.value(rep) * s
     doc = {
         "spec": {
             "family": spec.family.value, "N": spec.N, "L": spec.L,
@@ -199,7 +215,7 @@ def cmd_compute(cfg: RunConfig) -> int:
             "sop": rep.bounds.s_op * s,
             "log_dim_c_min": rep.bounds.log_dim_c_min * s,
             "log_max_d": rep.bounds.log_max_d * s,
-            "rtilde": {_fmt(n): rep.rtilde_bounds[n] * s for n in rtilde},
+            "rtilde": {_fmt(n): b * s for n, b in rep.rtilde_bounds.items()},
         },
         "log_dim_c_min": rep.dim_C_min.log_value() * s,
     }
@@ -221,8 +237,6 @@ def _round12(x):
     """Round every float to 12 significant digits for deterministic output."""
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_round12(v) for v in x]
     if isinstance(x, float):
         return float(f"{x:.12g}")
     return x
@@ -259,7 +273,7 @@ def _L_grid(cfg: RunConfig) -> list[int]:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    want_en, renyi, rtilde, want_sop = _parse_quantities(cfg)
+    qs = _parse_quantities(cfg)
     specs = []
     for L in _L_grid(cfg):
         try:
@@ -268,29 +282,17 @@ def cmd_scan(cfg: RunConfig) -> int:
             continue  # silently drop grid points the formulas do not cover
     if not specs:
         raise EmptyScan("no admissible L in the scan range")
+    r34_only = bool(qs) and {q.label for q in qs} <= {"r3", "r4"}
 
     def one(spec: CommutantSpec) -> list[tuple[int, str, float]]:
         # SU(N>2) R3/R4-only scans at half chain skip sector enumeration
         # entirely: the convolution evaluator is exact and O((NL)^2)
-        r34_only = (
-            spec.family == Family.SUN and spec.N > 2
-            and not (want_en or want_sop or rtilde)
-            and renyi and set(renyi) <= {3, 4}
-            and spec.L_A == spec.L // 2
-        )
-        if r34_only and spec.L > 64:
+        if (r34_only and spec.family == Family.SUN and spec.N > 2
+                and spec.L_A == spec.L // 2 and spec.L > 64):
             val = sun_renyi3_half_chain(spec.N, spec.L)
-            return [(spec.L, f"r{n}", val) for n in renyi]
-        rep = compute_report(spec, renyi_orders=renyi, rtilde_orders=rtilde,
-                             backend=cfg.backend)
-        rows = []
-        if want_en:
-            rows.append((spec.L, "en", rep.E_N))
-        rows.extend((spec.L, f"r{n}", rep.R[n]) for n in renyi)
-        rows.extend((spec.L, f"rt{_fmt(n)}", rep.R_tilde[n]) for n in rtilde)
-        if want_sop:
-            rows.append((spec.L, "sop", rep.S_OP))
-        return rows
+            return [(spec.L, q.label, val) for q in qs]
+        rep = _report(spec, qs, cfg.backend)
+        return [(spec.L, q.label, q.value(rep)) for q in qs]
 
     s = _scale(cfg)
     rows = sorted((L, q, v) for sp in specs for L, q, v in one(sp))
@@ -395,21 +397,13 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 
 
 def cmd_asymptote(cfg: RunConfig) -> int:
-    fam, forced_N = resolve_family(cfg.family)
-    N = forced_N if forced_N is not None else cfg.N
-    want_en, renyi, rtilde, want_sop = _parse_quantities(cfg)
-    renyi = [3] if 3 in renyi else []  # R_3 is the only Renyi order with a law
-    jobs = []  # (row label, scaling law, the value read off a report)
-    if want_en:
-        jobs.append(("en", asymptotics.predicted_law(fam, N, "en"), lambda r: r.E_N))
-    if renyi:
-        jobs.append(("r3", asymptotics.predicted_law(fam, N, "r3"), lambda r: r.R[3]))
-    jobs.extend((f"rt{_fmt(n)}", asymptotics.predicted_law(fam, N, "rtilde", n=n),
-                 lambda r, n=n: r.R_tilde[n]) for n in rtilde)
-    if want_sop:
-        jobs.append(("sop", asymptotics.predicted_law(fam, N, "sop"), lambda r: r.S_OP))
-    if not jobs:
+    fam = resolve_family(cfg)
+    # R_3 is the only Renyi order with a law
+    qs = [q for q in _parse_quantities(cfg) if q.group != "r" or q.n == 3]
+    if not qs:
         raise Inadmissible("asymptote needs at least one of en, r3, rtilde, sop")
+    laws = [asymptotics.predicted_law(fam, cfg.N, "rtilde" if q.group == "rtilde" else q.label,
+                                      n=q.n) for q in qs]
 
     grid = _L_grid(cfg) if (cfg.L_min is not None or cfg.L_list) else \
         [2**k for k in range(6, 13)]
@@ -419,16 +413,15 @@ def cmd_asymptote(cfg: RunConfig) -> int:
             spec = make_spec(cfg, L)
         except Inadmissible:
             continue
-        reports.append(compute_report(spec, renyi_orders=renyi, rtilde_orders=rtilde,
-                                      backend=cfg.backend))
+        reports.append(_report(spec, qs, cfg.backend))
     if len(reports) < 4:
         raise EmptyScan("fewer than 4 admissible scan points")
     rows = []
-    for label, law, value in jobs:
-        pts = [(rep.spec.L, value(rep)) for rep in reports]
+    for q, law in zip(qs, laws):
+        pts = [(rep.spec.L, q.value(rep)) for rep in reports]
         fit = asymptotics.fit_scaling(pts, law.form if law.form != "const" else "log")
         rows.append([
-            label, law.form, law.kind,
+            q.label, law.form, law.kind,
             "" if law.coefficient is None else _fmt(law.coefficient),
             _fmt(fit.slope), _fmt(fit.intercept), f"{fit.residual:.3e}",
             int(fit.window[0]), int(fit.window[1]),

@@ -101,34 +101,22 @@ def check_admissible(spec: CommutantSpec) -> None:
     """Raise Inadmissible unless the singlet-pairing closed forms cover this spec.
 
     Run by CommutantSpec on construction, so every spec in hand is admissible.
-    The dual pairing across the cut only exists on the stated length grids
-    (e.g. even halves for TL/PF, multiples of N for SU(N)); anything else is
-    refused rather than extrapolated.
+    The dual pairing across the cut only exists on the length grid that the
+    family's IRREPS entry states (Irreps.steps, Irreps.only_N); anything else
+    is refused rather than extrapolated.
     """
-    f, N, L, L_A, L_B = spec.family, spec.N, spec.L, spec.L_A, spec.L_B
+    N, L, L_A, L_B = spec.N, spec.L, spec.L_A, spec.L_B
     if L < 2 or L_A < 1 or L_B < 1:
         raise Inadmissible(f"need L >= 2 and a proper cut, got L={L}, L_A={L_A}")
     if N < 2:
         raise Inadmissible(f"need local dimension N >= 2, got N={N}")
-    if f == Family.U1:
-        if N != 2:
-            raise Inadmissible("U(1) family is defined on a spin-1/2 chain (N=2)")
-        if L % 2:
-            raise Inadmissible(f"U(1) M_tot=0 sector needs even L, got L={L}")
-    elif f == Family.SUN:
-        if L % N or L_A % N or L_B % N:
-            raise Inadmissible(
-                f"SU({N}) singlet pairing needs L, L_A, L_B = 0 mod {N}; "
-                f"got L={L}, L_A={L_A}, L_B={L_B}"
-            )
-    elif f in (Family.PF, Family.TL):
-        if L % 2 or L_A % 2 or L_B % 2:
-            raise Inadmissible(
-                f"{f.value.upper()}({N}) needs even L, L_A, L_B; "
-                f"got L={L}, L_A={L_A}, L_B={L_B}"
-            )
-    else:  # pragma: no cover
-        raise Inadmissible(f"unknown family {f}")
+    irr, name = spec.irreps, f"{spec.family.value.upper()}({N})"
+    if irr.only_N not in (None, N):
+        raise Inadmissible(f"{name}: this family is defined at N = {irr.only_N} only")
+    step, half_step = irr.steps(N)
+    if L % step or L_A % half_step or L_B % half_step:
+        raise Inadmissible(f"{name} singlet pairing needs L = 0 mod {step} and "
+                           f"L_A, L_B = 0 mod {half_step}; got L={L}, L_A={L_A}, L_B={L_B}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +259,15 @@ class Irreps:
     Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
     log flavour (log_pc_d, log_D: a label array; log_D gathers from lgf, a
     log_factorials table of at least ell + N entries).  Defaults: pc = d = 1.
+
+    The cut pairing covers L = 0 mod step and L_A, L_B = 0 mod half_step,
+    (step, half_step) = steps(N), at every N >= 2 unless only_N is set.
     """
+
+    only_N: int | None = None
+
+    def steps(self, N: int) -> tuple[int, int]:
+        return 2, 2
 
     def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         lab = self.labels(spec.N, spec.L_min)
@@ -294,6 +290,11 @@ class Irreps:
 
 class U1Irreps(Irreps):
     """Magnetization sectors, labelled by the down-spin count k: D = C(ell, k)."""
+
+    only_N = 2  # spin-1/2
+
+    def steps(self, N: int) -> tuple[int, int]:
+        return 2, 1  # M_tot = 0 needs even L; any cut pairs k_A with L/2 - k_A
 
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(ell + 1)
@@ -364,6 +365,9 @@ class SUNIrreps(Irreps):
 
     A partition of L_A pairs with its dual lam_bar_i = L/N - lam_{N+1-i}.
     """
+
+    def steps(self, N: int) -> tuple[int, int]:
+        return N, N
 
     def labels(self, N: int, ell: int, cap: int | None = None) -> np.ndarray:
         if (est := self.estimate(N, ell)) > SECTOR_ENUM_CAP:

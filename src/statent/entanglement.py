@@ -37,6 +37,7 @@ from .exactnum import LogReal, exact_log, sum_ratio_terms
 
 EXACT_L_THRESHOLD = 512  # default backend switch; exact below, log above
 EXACT_SECTOR_CAP = 200_000
+EXACT_MOMENT_BITS = 4096  # the largest term d^|k| an exact moment sums (see _moments)
 N_NEAR_TWO = 1e-6
 
 
@@ -67,18 +68,22 @@ def _exact_table(sectors: Sequence[IrrepRecord], D0: int) -> LogSectors:
 def _moments(ls: LogSectors) -> Ratio:
     """(k, c) -> log M(k) / c, log M(k) memoized on float(k) (R_3, Rt_4 share k = -2).
 
-    Integer k over exact rows is an exact sum, and M(k) == 1 gives exactly
-    0.0; every other k is one log-sum-exp over the table.  The backends
-    differ in one rule, the sign of a zero quotient: over exact rows a zero
-    log M(k) reads +0.0 at every order c, while the log backend keeps the
-    plain quotient, -0.0 for c < 0.
+    Integer k over exact rows is an exact sum while its terms d^|k| stay
+    within EXACT_MOMENT_BITS bits (|k| log2(max d) at most that, so all-d = 1
+    rows stay exact at any k), and M(k) == 1 gives exactly 0.0; every other
+    k is one log-sum-exp over the table.  The backends differ in one rule,
+    the sign of a zero quotient: over exact rows a zero log M(k) reads +0.0
+    at every order c, while the log backend keeps the plain quotient, -0.0
+    for c < 0.
     """
     base = ls.log_pc + ls.log_DA + ls.log_DB
     exact = ls.rows is not None
+    log_max_d = float(np.max(ls.log_d))
 
     @functools.cache
     def log_moment(k: float) -> float:
-        if not exact or not k.is_integer():
+        if (not exact or not k.is_integer()
+                or abs(k) * log_max_d > EXACT_MOMENT_BITS * math.log(2.0)):
             return _lse(base + k * ls.log_d) - ls.log_D0
         k = int(k)
         if k >= 0:

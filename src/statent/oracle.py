@@ -84,7 +84,6 @@ class LocalChannel:
 
 @dataclass
 class KrausSet:
-    family: Family
     N: int
     L: int
     channels: list[LocalChannel] = field(default_factory=list)
@@ -165,8 +164,7 @@ def build_kraus(family: Family, N: int, L: int, dim_cap: int = DEFAULT_DIM_CAP) 
         r = 1.0 / math.sqrt(2.0)
         bond = [[r * eye, r * h, r * (eye - h @ h)] for h in flips]
         site = [[np.diag(e) for e in np.eye(N)]]
-    ks = KrausSet(family, N, L, [LocalChannel((j, j + 1), ops)
-                                 for j in range(L - 1) for ops in bond]
+    ks = KrausSet(N, L, [LocalChannel((j, j + 1), ops) for j in range(L - 1) for ops in bond]
                   + [LocalChannel((j,), ops) for j in range(L) for ops in site])
     defect = ks.completeness_defect
     if defect > 1e-12:
@@ -293,13 +291,6 @@ def restrict_local(op: np.ndarray, sites: tuple[int, ...], states: np.ndarray,
     return np.where(rest[:, None] == rest[None, :], op[loc[:, None], loc[None, :]], 0)
 
 
-def _start(rho: np.ndarray) -> np.ndarray:
-    """A copy of rho, real if its imaginary part is zero."""
-    if np.iscomplexobj(rho) and np.max(np.abs(rho.imag)) == 0.0:
-        return rho.real.copy()  # all Kraus sets here are real; halves the cost
-    return np.array(rho)
-
-
 def _sweeps(sweep_map, rho: np.ndarray, tol: float, max_sweeps: int):
     """Yield (sweep, rho, defect) after each sweep_map(rho), up to the first defect <= tol.
 
@@ -360,7 +351,7 @@ def channel_fixed_point(kraus: KrausSet, rho0: DenseState) -> DenseState:
     S = reachable_states(kraus, rho0.matrix)
     channels = _restricted_channels(kraus, S)
     for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r),
-                               _start(rho0.matrix[np.ix_(S, S)]), 1e-12, 1_000_000):
+                               np.array(rho0.matrix[np.ix_(S, S)]), 1e-12, 1_000_000):
         pass
     return _embed(block, S, rho0)
 
@@ -386,7 +377,7 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     """
     S = reachable_states(kraus, rho0.matrix)
     channels = _restricted_channels(kraus, S)
-    seed = _start(rho0.matrix[np.ix_(S, S)])
+    seed = np.array(rho0.matrix[np.ix_(S, S)])
     i = int(np.argmax(np.diagonal(seed).real))
     psi = seed[:, i] / math.sqrt(seed[i, i].real)
     if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
@@ -440,7 +431,7 @@ def iterate_with_trajectory(
         }
 
     rows = [row(0, np.array(rho0.matrix), float("nan"))]
-    sweeps = _sweeps(lambda r: apply_sweep(r, kraus), _start(rho0.matrix), tol, max_sweeps)
+    sweeps = _sweeps(lambda r: apply_sweep(r, kraus), np.array(rho0.matrix), tol, max_sweeps)
     for sweep, rho, defect in sweeps:
         rows.append(row(sweep, rho, defect))
     return DenseState(rho, list(rho0.site_dims)), rows

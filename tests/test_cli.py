@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import statent
-from statent.cli import RunConfig, main
+from statent.cli import main
 
 try:
     import jsonschema
@@ -65,6 +65,9 @@ def test_malformed_quantity_exit_2(token, capsys):
     ["asymptote", "--family", "tl", "--N", "2", "--quantities", "rt0.5"],
     ["oracle", "--family", "su2", "--L", "4", "--dim-cap", "-1"],
     ["oracle", "--family", "su2", "--L", "4", "--dim-cap", "0"],
+    ["compute", "--family", "su2", "--N", "3", "--L", "6"],
+    ["compute", "--family", "u1", "--N", "3", "--L", "6"],
+    ["asymptote", "--family", "sun", "--N", "3"],
 ])
 def test_bad_input_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -108,6 +111,49 @@ def test_compute_json_schema(capsys):
     jsonschema.validate(json.loads(out), schema)
 
 
+def _flat(doc: dict, prefix: str = "") -> dict:
+    out = {}
+    for k, v in doc.items():
+        out.update(_flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+    return out
+
+
+def test_compute_csv_rows_are_the_flattened_json(capsys):
+    args = ["compute", "--family", "tl", "--N", "3", "--L", "12",
+            "--quantities", "en,r3,r5,rt0.5,rt3,sop"]
+    code, out_json, _ = run_cli(args, capsys)
+    assert code == 0
+    code, out_csv, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    lines = out_csv.splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(ln.split(",") for ln in lines[1:])
+    assert list(rows) == sorted(rows)
+    flat = _flat(json.loads(out_json))
+    assert set(rows) == set(flat) and "quantities.rtilde.0.5" in rows
+    for key, value in flat.items():
+        # JSON holds each float rounded to the 12 digits that the CSV prints
+        assert (float(rows[key]) if isinstance(value, float) else rows[key]) == (
+            value if isinstance(value, float) else str(value)), key
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_timing_adds_only_wall_time(fmt, capsys):
+    args = ["compute", "--family", "su2", "--L", "8", "--quantities", "en,r3,rt1.5,sop",
+            "--format", fmt]
+    _, plain, _ = run_cli(args, capsys)
+    code, timed, _ = run_cli(args + ["--timing"], capsys)
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(timed)
+        assert doc.pop("wall_time_s") >= 0.0
+        assert doc == json.loads(plain)
+    else:
+        extra = set(timed.splitlines()) - set(plain.splitlines())
+        assert [ln.split(",")[0] for ln in extra] == ["wall_time_s"]
+        assert set(plain.splitlines()) < set(timed.splitlines())
+
+
 def test_log2_rescales_display(capsys):
     _, out_e, _ = run_cli(["compute", "--family", "su2", "--L", "8", "--quantities", "en"], capsys)
     _, out_2, _ = run_cli(
@@ -133,6 +179,17 @@ def test_scan_csv_and_determinism(tmp_path, capsys):
     ]
     for ln in lines[1:]:
         assert math.isfinite(float(ln.split(",")[2]))
+
+
+def test_scan_one_length_matches_compute(capsys):
+    # --L without --L-min is a one-point grid
+    code, out, _ = run_cli(["scan", "--family", "su2", "--L", "8"], capsys)
+    assert code == 0
+    _, doc, _ = run_cli(["compute", "--family", "su2", "--L", "8"], capsys)
+    q = json.loads(doc)["quantities"]
+    assert out.splitlines() == ["L,quantity,value"] + [
+        f"8,{name},{value!r}" for name, value in
+        (("en", q["en"]), ("r3", q["r"]["3"]), ("sop", q["sop"]))]
 
 
 def test_scan_filters_inadmissible(capsys):
@@ -200,6 +257,14 @@ def test_haar_emits_points_and_crossing(capsys):
     assert 0.0 < x < 0.5
 
 
+def test_haar_reports_a_failed_crossing_as_a_row(capsys):
+    # two equal lengths give the same curve twice, which has no crossing
+    code, out, _ = run_cli(["haar", "--family", "su2", "--L-list", "12,12", "--samples", "5"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "crossing,12,12,,,,5,12345,error:NoCrossing"
+
+
 def test_dynamics_trajectory(tmp_path, capsys):
     out_file = tmp_path / "traj.csv"
     code = main(["dynamics", "--family", "tl", "--N", "3", "--L", "4",
@@ -221,6 +286,27 @@ def test_asymptote_su2(capsys):
     assert row[0] == "en" and row[1] == "log"
     assert float(row[3]) == 0.5
     assert abs(float(row[4]) - 0.5) <= 0.02
+
+
+@pytest.mark.parametrize("args, laws", [
+    (["--family", "u1"],
+     [("en", "const", "asymptote", "0"), ("r3", "const", "asymptote", "0"),
+      ("sop", "log", "asymptote", "0.5")]),
+    (["--family", "pf", "--N", "3"],
+     [("en", "const", "asymptote", "0"), ("r3", "const", "asymptote", "0"),
+      ("sop", "sqrt", "asymptote", "")]),
+    (["--family", "sun", "--N", "3", "--L-list", "48,96,192,384"],
+     [("en", "log", "upper_bound", "6"), ("r3", "log", "asymptote", "3"),
+      ("sop", "log", "asymptote", "4")]),
+], ids=["u1", "pf3", "sun3"])
+def test_asymptote_prints_the_documented_laws(args, laws, capsys):
+    # form, kind and coefficient of predicted_law, one row per default quantity
+    code, out, _ = run_cli(["asymptote", *args], capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert [tuple(r[:4]) for r in rows] == laws
+    for r in rows:
+        assert all(math.isfinite(float(x)) for x in r[4:7])
 
 
 def test_asymptote_rows_match_single_quantity_runs(capsys):
@@ -338,12 +424,6 @@ def test_config_int_for_float_field(tmp_path, capsys):
     code, out, _ = run_cli(["compute", "--config", str(path)], capsys)
     assert code == 0
     assert set(json.loads(out)["quantities"]["rtilde"]) == {"3", "0.5"}
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(subcommand="scan", family="tl", N=3, L_min=8, L_max=64,
-                    geometric=True, quantities=["en", "r3"], seed=9)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_console_entry_point():

@@ -320,18 +320,21 @@ def test_sun_partition_estimate_covers_large_N():
 
 
 def test_log_backend_reach_one_million():
-    # the README's reach, in a fresh interpreter so the peak RSS is this run's own
+    # the README's reach, in a fresh interpreter; VmHWM (peak RSS) restarts at
+    # exec, where ru_maxrss would carry over the pytest process's own peak
     code = textwrap.dedent("""
-        import json, resource, time
+        import json, time
         from statent import CommutantSpec, Family, compute_report
         t0 = time.perf_counter()
         reps = {f"{f.value}{N}": compute_report(CommutantSpec(f, N, 10**6, 5 * 10**5))
                 for f, N in ((Family.U1, 2), (Family.SUN, 2), (Family.TL, 3), (Family.PF, 3))}
         E_N = {k: r.E_N for k, r in reps.items()}
         pf = reps["pf3"]
+        with open("/proc/self/status") as fh:
+            hwm = next(line for line in fh if line.startswith("VmHWM:"))
         print(json.dumps({"E_N": E_N, "pf_S_OP": [pf.S_OP, pf.bounds.s_op],
                           "wall_s": time.perf_counter() - t0,
-                          "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                          "maxrss_mb": int(hwm.split()[1]) / 1024}))
     """)
     src = os.path.dirname(os.path.dirname(statent.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -407,3 +410,31 @@ def test_sun_bounds_refuse_too_many_partitions():
                          timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["upper_bounds", "commutant_dimension", "max_log_degeneracy"]
+
+
+def test_large_orders_finish_on_the_exact_backend():
+    # exact moments at these orders would sum d^|k| as Python ints with millions of
+    # bits (or 10^20 of them); past EXACT_MOMENT_BITS the exact backend takes the
+    # log-sum-exp, in a child interpreter with a timeout in case it does not
+    code = textwrap.dedent("""
+        import json
+        from statent import CommutantSpec, Family, compute_report
+        out = []
+        for fam, L, renyi, rtilde in ((Family.SUN, 8, [1000001], [1e20]),
+                                      (Family.SUN, 64, [100001], []),
+                                      (Family.U1, 8, [1000001], [1e20])):
+            for backend in ("exact", "log"):
+                rep = compute_report(CommutantSpec(fam, 2, L, L // 2), renyi_orders=renyi,
+                                     rtilde_orders=rtilde, backend=backend)
+                out.append([rep.mode, *rep.R.values(), *rep.R_tilde.values()])
+        print(json.dumps(out))
+    """)
+    src = os.path.dirname(os.path.dirname(statent.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    for exact, log in zip(runs[0::2], runs[1::2]):
+        assert exact[0] == "exact" and log[0] == "log_domain"
+        assert exact[1:] == pytest.approx(log[1:], rel=1e-12, abs=0.0)
+    assert runs[4][1:] == [0.0, 0.0]  # U(1) still sums exactly, to exactly 0

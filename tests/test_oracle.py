@@ -423,7 +423,7 @@ def test_orbit_state_sweep_check_catches_non_unital_channel():
     # point is |0><0|, not 1/2; one sweep moves 1/2 by 0.25 sqrt(2)
     damp = LocalChannel((0,), [np.diag([1.0, math.sqrt(0.5)]),
                                np.array([[0.0, math.sqrt(0.5)], [0.0, 0.0]])])
-    ks = KrausSet(Family.U1, 2, 1, [damp])
+    ks = KrausSet(2, 1, [damp])
     assert ks.completeness_defect <= 1e-15
     with pytest.raises(NoConvergence, match="one sweep"):
         orbit_state(ks, DenseState(np.diag([0.0, 1.0]), [2]))
