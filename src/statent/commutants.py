@@ -181,17 +181,21 @@ def sun_partitions(ell: int, N: int, cap: int) -> np.ndarray:
     lexicographically descending order.  Built one part at a time: a prefix
     with `rem` left over and last part `hi` takes every next part p from
     min(hi, rem) down to ceil(rem / slots), the least that still fits in the
-    slots left, so every prefix completes.
+    slots left, so every prefix completes.  Each part keeps its values and
+    parent indices; the table is gathered once, from the last part back.
     """
-    rows = np.zeros((1, 0), dtype=np.int64)
+    parts = []
     rem, hi = np.array([ell], dtype=np.int64), np.array([cap], dtype=np.int64)
     for slots in range(N, 0, -1):
         top = np.minimum(hi, rem)
         count = np.maximum(top + rem // -slots + 1, 0)  # top - ceil(rem / slots) + 1
         src = np.repeat(np.arange(len(rem)), count)
         p = top[src] - (np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count))
-        rows = np.column_stack((rows[src], p))
+        parts.append((src, p))
         rem, hi = rem[src] - p, p
+    rows, idx = np.empty((len(rem), N), dtype=np.int64), np.arange(len(rem))
+    for j, (src, p) in reversed(list(enumerate(parts))):
+        rows[:, j], idx = p[idx], src[idx]
     return rows
 
 

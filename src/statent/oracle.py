@@ -19,7 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .commutants import CommutantSpec, Family
+from .commutants import IRREPS, CommutantSpec, Family
 
 DEFAULT_DIM_CAP = 6561  # N^L above this refuses to build dense operators
 
@@ -123,49 +123,54 @@ def _tl_e(N: int) -> np.ndarray:
     return np.outer(v, v)  # = N |singlet><singlet|
 
 
-def _flip(N: int, a: int, b: int) -> np.ndarray:
-    """The two-site flip |a><b| + |b><a| between two-site basis states a != b."""
-    h = np.zeros((N * N, N * N))
-    h[a, b] = h[b, a] = 1.0
-    return h
+def _antisymmetrizer_block(N: int) -> np.ndarray:
+    """The normalized antisymmetrized N-site state sum_perm sign(perm) |perm>."""
+    block = np.zeros(N**N)
+    for perm in permutations(range(N)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        block[np.ravel_multi_index(perm, (N,) * N)] = (-1.0) ** inversions
+    return block / np.linalg.norm(block)
+
+
+def _chain(family: Family, N: int):
+    """One family's chain: (bond projectors, site resolution, seed block, block width).
+
+    Every channel resolves the identity into orthogonal projectors: {Pi, 1 - Pi}
+    on each bond for each bond projector Pi, then {|s><s|} on each site (no site
+    channel for SU(N) and TL(N)).  SU(N): Pi = (1 + P)/2, P the two-site swap.
+    TL(N): Pi = e/N with e = sum |ss><s's'| (e^2 = N e).  U(1) and PF(N): Pi =
+    (h^2 + h)/2 for the hopping flip h = |01><10| + h.c., or for each pair flip
+    h = |ss><tt| + h.c. (s < t); with the site dephasing, h^2 is a sum of
+    products of site projectors and h = 2 Pi - h^2, so the channels generate
+    the flips' algebra (same commutant, same fixed points).
+
+    The seed block (see singlet_product_state) comes as a function, since
+    SU(N)'s has N^N entries.  ValueError for an N that the IRREPS entry rules out.
+    """
+    only = IRREPS[family].only_N
+    if only not in (None, N):
+        raise ValueError(f"{family.value.upper()} family is defined for N = {only}")
+    eye = np.eye(N * N)
+    if family == Family.SUN:
+        return [(eye + _swap(N)) / 2], [], lambda: _antisymmetrizer_block(N), N
+    if family == Family.TL:
+        return [_tl_e(N) / N], [], lambda: np.eye(N).ravel() / math.sqrt(N), 2
+    if family == Family.U1:  # v = |a> + |b> for each flip a <-> b
+        vs, seed, width = [eye[1] + eye[N]], eye[1], 2
+    else:
+        vs = [eye[s * (N + 1)] + eye[t * (N + 1)] for s in range(N) for t in range(s + 1, N)]
+        seed, width = np.eye(N)[0], 1
+    return [np.outer(v, v) / 2 for v in vs], [np.diag(e) for e in np.eye(N)], lambda: seed, width
 
 
 def build_kraus(family: Family, N: int, L: int, dim_cap: int = DEFAULT_DIM_CAP) -> KrausSet:
-    """Local Hermitian Kraus channels whose commutant is the requested family.
-
-    Every chain is built from two channel shapes:
-    a projector pair {Pi, 1 - Pi} per bond, with
-      SU(N): Pi = (1 + P)/2 (P the two-site swap),
-      TL(N): Pi = e/N with e = sum |ss><s's'|; e^2 = N e makes this a
-             projector for every N (for N = 2 it is the SU(2) singlet one);
-    or lazy flips {1, h, 1 - h^2}/sqrt(2) per bond, one channel per flip h,
-    then a projective dephasing channel {|s><s|} per site, with
-      U(1):  h the hopping flip |01><10| + h.c.,
-      PF(N): h the pair flip |ss><tt| + h.c., one per color pair s < t.
-
-    The identity component makes the flip channels lazy: the
-    bare flip acts unitarily inside its two-state subspace, so without it
-    the sweep has a -1 eigenvalue and the iteration cycles instead of
-    converging.  The identity is in the bond algebra anyway, so the
-    commutant (hence the fixed point) is unchanged; the tests re-run with a
-    different convex split to confirm normalization independence.
-    """
+    """Local Hermitian Kraus channels with the family's commutant: see _chain for their order."""
     if N**L > dim_cap:
         raise TooLarge(f"N^L = {N**L} exceeds cap {dim_cap}")
-    if family == Family.U1 and N != 2:
-        raise ValueError("U(1) family is defined for N = 2")
-    eye = np.eye(N * N)
-    if family in (Family.SUN, Family.TL):
-        Pi = (eye + _swap(N)) / 2 if family == Family.SUN else _tl_e(N) / N
-        bond, site = [[Pi, eye - Pi]], []
-    else:
-        flips = [_flip(N, 1, N)] if family == Family.U1 else [
-            _flip(N, s * N + s, t * N + t) for s in range(N) for t in range(s + 1, N)]
-        r = 1.0 / math.sqrt(2.0)
-        bond = [[r * eye, r * h, r * (eye - h @ h)] for h in flips]
-        site = [[np.diag(e) for e in np.eye(N)]]
-    ks = KrausSet(N, L, [LocalChannel((j, j + 1), ops) for j in range(L - 1) for ops in bond]
-                  + [LocalChannel((j,), ops) for j in range(L) for ops in site])
+    bond, site, _, _ = _chain(family, N)
+    pairs = [[Pi, np.eye(N * N) - Pi] for Pi in bond]
+    ks = KrausSet(N, L, [LocalChannel((j, j + 1), ops) for j in range(L - 1) for ops in pairs]
+                  + [LocalChannel((j,), site) for j in range(L) if site])
     defect = ks.completeness_defect
     if defect > 1e-12:
         raise AssertionError(f"Kraus completeness defect {defect}")
@@ -183,7 +188,7 @@ def conserved_operators(family: Family, N: int, L: int) -> list[np.ndarray]:
     out = []
     if family == Family.U1:
         sz = np.diag([0.5, -0.5])
-        out.append(_site_sum(sz, 2, L))
+        out.append(_site_sum(sz, N, L))
     elif family == Family.SUN:
         for a in range(N):
             for b in range(N):
@@ -364,12 +369,12 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     singlet_product_state) spans that whole sector under the algebra, so P
     is the sector projector and P / rank P the fixed point the sweep
     converges to.  The orbit is closed block by block on the reachable basis
-    states S: apply every restricted operator that is not a constant
-    diagonal to the newest orthonormal columns, project out the span V found
-    so far (twice), and keep the left singular vectors of the result above
-    1e-10 x max(1, s_max), until a block adds nothing or V spans all of S (P
-    is then the identity on S).  Reads only the Kraus matrices, never sector
-    data.
+    states S: apply every projector of each channel but the last (1 minus the
+    others, so it adds no direction) to the newest orthonormal columns,
+    project out the span V found so far (twice), and keep the left singular
+    vectors of the result above 1e-10 x max(1, s_max), until a block adds
+    nothing or V spans all of S (P is then the identity on S).  Reads only the
+    Kraus matrices, never sector data.
 
     One restricted sweep checks the result: NoConvergence if it moves the
     state by more than tol (Frobenius norm).  Raises ValueError for a seed
@@ -382,9 +387,7 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     psi = seed[:, i] / math.sqrt(seed[i, i].real)
     if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
         raise ValueError("orbit_state needs a pure seed; use channel_fixed_point")
-    # a constant diagonal (the lazy r*1 part of a U(1) or PF bond channel)
-    # maps the span into itself; the checking sweep still applies it
-    ops = [K for ch in channels for K in ch if K.ndim == 2 or np.any(K != K[0])]
+    ops = [K for ch in channels for K in ch[:-1]]  # the checking sweep applies every K
     V = new = psi[:, None] / np.linalg.norm(psi)
     while new.shape[1] and V.shape[1] < len(S):
         W = np.concatenate([K[:, None] * new if K.ndim == 1 else K @ new for K in ops], axis=1)
@@ -449,22 +452,10 @@ def singlet_product_state(family: Family, N: int, L: int) -> DenseState:
     (the Neel state, M_tot = 0) and |0> for PF(N) (the all-zeros state,
     empty dot pattern).  ValueError unless L is a whole number of blocks.
     """
-    if family == Family.SUN:
-        block = np.zeros(N**N)
-        for perm in permutations(range(N)):
-            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            block[np.ravel_multi_index(perm, (N,) * N)] = (-1.0) ** inversions
-        block /= np.linalg.norm(block)
-        width = N
-    elif family == Family.TL:
-        block, width = np.eye(N).ravel() / math.sqrt(N), 2
-    elif family == Family.U1:
-        block, width = np.eye(N * N)[1], 2
-    else:
-        block, width = np.eye(N)[0], 1
+    _, _, seed, width = _chain(family, N)
     if L < width or L % width:
         raise ValueError(f"{family.value.upper()}({N}) seed needs L = 0 mod {width}, got L={L}")
-    psi = reduce(np.kron, [block] * (L // width))
+    psi = reduce(np.kron, [seed()] * (L // width))
     return DenseState(np.outer(psi, psi), [N] * L)
 
 

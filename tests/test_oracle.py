@@ -10,6 +10,7 @@ import statent.oracle as orc
 from statent.commutants import (
     CommutantSpec,
     Family,
+    commutant_dimension,
     enumerate_sectors,
     singlet_dimension,
 )
@@ -188,23 +189,23 @@ def test_strong_symmetry_preserved_along_trajectory():
 
 
 def test_fixed_point_independent_of_kraus_normalization():
-    # replace the U(1) lazy split 1/2:1/2 by 1/5:4/5; same commutant, same
-    # fixed point
-    import copy
+    # U(1): the lazy flip split 1/2:1/2, the same at 1/5:4/5, and the projector
+    # pair build_kraus uses; same commutant, same fixed point
+    def lazy(a: float) -> KrausSet:
+        ks = KrausSet(2, 6, [LocalChannel(s, ops) for s, ops in _reference_channels(Family.U1, 2, 6)])
+        for ch in ks.channels:
+            if len(ch.sites) == 2:
+                # ops are [1, hop, stay] scaled by 1/sqrt(2)
+                _, hop, stay = (math.sqrt(2) * op for op in ch.ops)
+                ch.ops = [math.sqrt(a) * np.eye(4), math.sqrt(1 - a) * hop, math.sqrt(1 - a) * stay]
+        assert ks.completeness_defect <= 1e-12
+        return ks
 
-    base = build_kraus(Family.U1, 2, 6)
-    alt = copy.deepcopy(base)
-    for ch in alt.channels:
-        if len(ch.sites) == 2:
-            # ops are [1, hop, stay] scaled by 1/sqrt(2); reweight to 1/5:4/5
-            _, hop, stay = (math.sqrt(2) * op for op in ch.ops)
-            a, b = math.sqrt(0.2), math.sqrt(0.8)
-            ch.ops = [a * np.eye(4), b * hop, b * stay]
-    assert alt.completeness_defect <= 1e-12
     rho0 = singlet_product_state(Family.U1, 2, 6)
-    st1 = channel_fixed_point(base, rho0)
-    st2 = channel_fixed_point(alt, rho0)
-    assert np.max(np.abs(st1.matrix - st2.matrix)) <= 1e-10
+    states = [channel_fixed_point(ks, rho0).matrix
+              for ks in (lazy(0.5), lazy(0.2), build_kraus(Family.U1, 2, 6))]
+    for st in states[1:]:
+        assert np.max(np.abs(st - states[0])) <= 1e-10
 
 
 def test_trajectory_monotone_saturation_tl3():
@@ -678,8 +679,10 @@ def _reference_seed(family: Family, N: int, L: int) -> np.ndarray:
     (Family.TL, 4), (Family.U1, 2), (Family.PF, 2), (Family.PF, 3), (Family.PF, 4),
 ])
 def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
-    # the two channel shapes and the Kronecker-power seeds give the bytes of
-    # the per-family code they replaced, odd lengths included
+    # SU(N) and TL(N) channels and every seed give the bytes of the per-family
+    # code they replaced, odd lengths included; U(1) and PF(N) channels are
+    # projector resolutions in the old channels' places, with the old lazy
+    # flip chain's fixed point
     width = {Family.SUN: N, Family.TL: 2, Family.U1: 2, Family.PF: 1}[fam]
     for L in range(2, 9):
         if N**L > 6561:
@@ -688,6 +691,11 @@ def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
         want = _reference_channels(fam, N, L)
         assert [ch.sites for ch in got] == [sites for sites, _ in want]
         for ch, (_, ops) in zip(got, want):
+            if fam in (Family.U1, Family.PF):
+                for K in ch.ops:
+                    assert np.array_equal(K, K.T) and np.allclose(K @ K, K, rtol=0, atol=1e-15)
+                assert np.array_equal(sum(ch.ops), np.eye(len(ch.ops[0])))
+                continue
             assert len(ch.ops) == len(ops)
             for K, R in zip(ch.ops, ops):
                 assert K.dtype == R.dtype and K.shape == R.shape and K.tobytes() == R.tobytes()
@@ -701,6 +709,41 @@ def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
         psi = _reference_seed(fam, N, L)
         assert st.site_dims == [N] * L
         assert st.matrix.tobytes() == np.outer(psi, psi).tobytes()
+        if fam in (Family.U1, Family.PF):
+            lazy = KrausSet(N, L, [LocalChannel(sites, ops) for sites, ops in want])
+            new = channel_fixed_point(build_kraus(fam, N, L), st).matrix
+            assert np.max(np.abs(new - channel_fixed_point(lazy, st).matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam, N, ell", [
+    (Family.U1, 2, 2), (Family.U1, 2, 4), (Family.SUN, 2, 2), (Family.SUN, 2, 4),
+    (Family.SUN, 3, 3), (Family.TL, 3, 2), (Family.TL, 4, 2), (Family.PF, 2, 2),
+    (Family.PF, 2, 4), (Family.PF, 3, 2),
+])
+def test_kraus_commutant_is_the_family_commutant(fam, N, ell):
+    # the operators X on ell sites with [K, X] = 0 for every Kraus operator K
+    # span the family's commutant on ell sites; X row-major, so vec(K X - X K)
+    # = (K (x) 1 - 1 (x) K^T) vec X
+    ks = build_kraus(fam, N, ell)
+    one = np.eye(N**ell)
+    gram = np.zeros((N ** (2 * ell),) * 2)
+    for ch in ks.channels:
+        for K in ch.ops:
+            full = embed_local(K, ch.sites, N, ell)
+            A = np.kron(full, one) - np.kron(one, full.T)
+            gram += A.T @ A
+    nullity = int(np.sum(np.linalg.eigvalsh(gram) < 1e-8))
+    dim = commutant_dimension(CommutantSpec(fam, N, 2 * ell, ell)).to_float()
+    assert nullity == round(dim)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_kraus(Family.U1, 3, 4), lambda: singlet_product_state(Family.U1, 3, 4),
+])
+def test_u1_chain_refuses_N_other_than_2(make):
+    # the U(1) seed came back as an 81 x 81 state at N = 3
+    with pytest.raises(ValueError, match="defined for N = 2"):
+        make()
 
 
 @pytest.mark.parametrize("fam, N, L", [
