@@ -18,7 +18,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,7 +96,9 @@ def resolve_family(cfg: RunConfig) -> Family:
     return fam
 
 
-def make_spec(cfg: RunConfig, L: int) -> CommutantSpec:
+def make_spec(cfg: RunConfig, L: int | None) -> CommutantSpec:
+    if L is None:
+        raise Inadmissible(f"{cfg.subcommand} needs --L")
     cut = cfg.cut if cfg.cut is not None else L // 2
     return CommutantSpec(resolve_family(cfg), cfg.N, L, cut)
 
@@ -188,8 +190,6 @@ def _report(spec: CommutantSpec, qs: list[Quantity], backend: Backend) -> Entang
 # ---------------------------------------------------------------------------
 
 def cmd_compute(cfg: RunConfig) -> int:
-    if cfg.L is None:
-        raise Inadmissible("compute needs --L")
     t0 = time.perf_counter()
     spec = make_spec(cfg, cfg.L)
     qs = _parse_quantities(cfg)
@@ -305,8 +305,6 @@ ORACLE_QUANTITIES = ("en", "r3", "r4", "rt1.5", "sop")
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    if cfg.L is None:
-        raise Inadmissible("oracle needs --L")
     spec = make_spec(cfg, cfg.L)
     ks = oracle.build_kraus(spec.family, spec.N, spec.L, dim_cap=cfg.dim_cap)
     rho0 = oracle.singlet_product_state(spec.family, spec.N, spec.L)
@@ -336,10 +334,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 
 def cmd_haar(cfg: RunConfig) -> int:
+    if (resolve_family(cfg), cfg.N) != (Family.SUN, 2):
+        raise Inadmissible(f"haar needs su2 (or sun --N 2), got {cfg.family} --N {cfg.N}")
     Ls = cfg.L_list or ([cfg.L] if cfg.L is not None else None)
     if not Ls:
         raise Inadmissible("haar needs --L or --L-list")
-    tops = [HaarEnsembleSpec(L=L, samples=cfg.samples, seed=cfg.seed,
+    tops = [HaarEnsembleSpec(L=L, samples=cfg.samples, seed=cfg.seed, L_A=cfg.cut,
                              lambda_max=L // 2 if cfg.lambda_max is None else cfg.lambda_max)
             for L in Ls]
     for top in tops:
@@ -375,8 +375,6 @@ def cmd_haar(cfg: RunConfig) -> int:
 
 
 def cmd_dynamics(cfg: RunConfig) -> int:
-    if cfg.L is None:
-        raise Inadmissible("dynamics needs --L")
     spec = make_spec(cfg, cfg.L)
     ks = oracle.build_kraus(spec.family, spec.N, spec.L, dim_cap=cfg.dim_cap)
     rho0 = oracle.singlet_product_state(spec.family, spec.N, spec.L)
@@ -436,49 +434,55 @@ def cmd_asymptote(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main's one stderr line and exit 2, not a usage block
+        raise Inadmissible(message)
+
+
+_ON = dict(action="store_const", const=True)
+# RunConfig field -> (its flag, add_argument keywords)
+OPTIONS: dict[str, tuple[str, dict]] = {
+    "family": ("--family", dict(help="u1 | su2 | sun | pf | tl")),
+    "N": ("--N", dict(type=int, help="local dimension (sun/pf/tl)")),
+    "L": ("--L", dict(type=int, help="chain length")),
+    "L_list": ("--L-list", dict(help="comma-separated lengths")),
+    "L_min": ("--L-min", dict(type=int)),
+    "L_max": ("--L-max", dict(type=int)),
+    "L_step": ("--L-step", dict(type=int)),
+    "geometric": ("--geometric", dict(_ON, help="double L between scan points")),
+    "cut": ("--cut", dict(type=int, help="L_A (default: half chain)")),
+    "quantities": ("--quantities", dict(help="comma list: en,r3,r4,rt1.5,rtilde,sop")),
+    "n_grid": ("--n-grid", dict(help="comma list of rtilde indices")),
+    "fmt": ("--format", dict(choices=typing.get_args(Format))),
+    "output": ("--output", dict(help="output path (default stdout)")),
+    "seed": ("--seed", dict(type=int)),
+    "samples": ("--samples", dict(type=int)),
+    "lambda_max": ("--lambda-max", dict(type=int)),
+    "backend": ("--backend", dict(choices=typing.get_args(Backend))),
+    "tol": ("--tol", dict(type=float, help="defect bound of oracle's check, dynamics' stop")),
+    "max_sweeps": ("--max-sweeps", dict(type=int, help="sweep limit, at most 100000")),
+    "dim_cap": ("--dim-cap", dict(type=int)),
+    "log2": ("--log2", dict(_ON, help="display in bits instead of nats")),
+    "timing": ("--timing", dict(_ON, help="include wall_time_s in JSON output")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="statent",
         description="Exact stationary-state entanglement for strongly symmetric channels.",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, fn in SUBCOMMANDS.items():
+    for name, (fn, reads) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
-        sp.add_argument("--family", help="u1 | su2 | sun | pf | tl")
-        sp.add_argument("--N", type=int, help="local dimension (sun/pf/tl)")
-        sp.add_argument("--L", type=int, help="chain length")
-        sp.add_argument("--L-list", dest="L_list", help="comma-separated lengths")
-        sp.add_argument("--L-min", dest="L_min", type=int)
-        sp.add_argument("--L-max", dest="L_max", type=int)
-        sp.add_argument("--L-step", dest="L_step", type=int)
-        sp.add_argument("--geometric", action="store_const", const=True,
-                        help="double L between scan points")
-        sp.add_argument("--cut", type=int, help="L_A (default: half chain)")
-        sp.add_argument("--quantities", help="comma list: en,r3,r4,rt1.5,rtilde,sop")
-        sp.add_argument("--n-grid", dest="n_grid", help="comma list of rtilde indices")
-        sp.add_argument("--format", dest="fmt", choices=typing.get_args(Format))
-        sp.add_argument("--output", help="output path (default stdout)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--lambda-max", dest="lambda_max", type=int)
-        sp.add_argument("--backend", choices=typing.get_args(Backend))
-        sp.add_argument("--tol", type=float,
-                        help="oracle: largest defect one sweep may leave on its state; "
-                             "dynamics: sweep until the defect falls below it")
-        sp.add_argument("--max-sweeps", dest="max_sweeps", type=int,
-                        help="sweep limit of dynamics, at most 100000 (oracle builds its state "
-                             "without sweeps)")
-        sp.add_argument("--dim-cap", dest="dim_cap", type=int)
-        sp.add_argument("--log2", action="store_const", const=True,
-                        help="display in bits instead of nats")
-        sp.add_argument("--timing", action="store_const", const=True,
-                        help="include wall_time_s in JSON output")
+        for key in reads:
+            sp.add_argument(OPTIONS[key][0], dest=key, **OPTIONS[key][1])
     return p
 
 
-def _numbers(key: str, text: str, kind: type) -> list:
-    """A comma-separated list of numbers; anything else is Inadmissible."""
+def _split(key: str, text: str, kind: type) -> list:
+    """A comma-separated list of kind; text that kind refuses is Inadmissible."""
     try:
         return [kind(x) for x in text.split(",") if x]
     except ValueError:
@@ -513,17 +517,15 @@ def build_config(argv) -> RunConfig:
         if not isinstance(base, dict):
             raise Inadmissible(f"config {path} must hold a JSON object")
     base.pop("subcommand", None)
-    unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
+    unknown = sorted(set(base) - set(SUBCOMMANDS[sub][1]))
     if unknown:
-        raise Inadmissible(f"unknown config key(s): {', '.join(unknown)}")
+        raise Inadmissible(f"unknown config key(s) for {sub}: {', '.join(unknown)}")
     for k, v in args.items():
         if v is not None:
             base[k] = v
-    for key, kind in (("L_list", int), ("n_grid", float)):
+    for key, kind in (("L_list", int), ("n_grid", float), ("quantities", str)):
         if isinstance(base.get(key), str):
-            base[key] = _numbers(key, base[key], kind)
-    if isinstance(base.get("quantities"), str):
-        base["quantities"] = [x for x in base["quantities"].split(",") if x]
+            base[key] = _split(key, base[key], kind)
     hints = typing.get_type_hints(RunConfig)
     for key, value in base.items():
         if not _fits(value, hint := hints[key]):
@@ -539,20 +541,25 @@ def build_config(argv) -> RunConfig:
     return cfg
 
 
-SUBCOMMANDS = {
-    "compute": cmd_compute,
-    "scan": cmd_scan,
-    "oracle": cmd_oracle,
-    "haar": cmd_haar,
-    "dynamics": cmd_dynamics,
-    "asymptote": cmd_asymptote,
+# subcommand -> (runner, the RunConfig fields it reads, which are its flags and config keys:
+# family, N, cut, output and the listed ones)
+SUBCOMMANDS: dict[str, tuple[typing.Callable[[RunConfig], int], list[str]]] = {
+    name: (fn, ["family", "N", "cut", "output", *reads.split()]) for name, (fn, reads) in {
+        "compute": (cmd_compute, "L quantities n_grid backend fmt log2 timing"),
+        "scan": (cmd_scan, "L L_list L_min L_max L_step geometric quantities n_grid backend log2"),
+        "oracle": (cmd_oracle, "L tol dim_cap log2"),
+        "haar": (cmd_haar, "L L_list seed samples lambda_max"),
+        "dynamics": (cmd_dynamics, "L tol max_sweeps dim_cap log2"),
+        "asymptote": (cmd_asymptote,
+                      "L_list L_min L_max L_step geometric quantities n_grid backend"),
+    }.items()
 }
 
 
 def main(argv=None) -> int:
     try:
         cfg = build_config(argv)
-        return SUBCOMMANDS[cfg.subcommand](cfg)
+        return SUBCOMMANDS[cfg.subcommand][0](cfg)
     except (Inadmissible, EmptyScan, NAtTwo, asymptotics.Unsupported) as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

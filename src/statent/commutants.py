@@ -48,6 +48,7 @@ class TooManySectors(ValueError):
 
 
 SECTOR_ENUM_CAP = 2_000_000
+LOG_TABLE_CAP = 50_000_000  # log_factorials entries: 400 MB, a half-chain L of about 10^8
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,8 @@ def log_factorials(n: int) -> np.ndarray:
 
     log_D gathers from it; each sector build makes its own and drops it.
     """
+    if n > LOG_TABLE_CAP:
+        raise TooManySectors(f"log_factorials({n}) exceeds LOG_TABLE_CAP = {LOG_TABLE_CAP}")
     return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
@@ -499,12 +502,12 @@ def _lse(x: np.ndarray) -> float:
 def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     """Log-domain analogue of enumerate_sectors (float64 arrays).
 
-    Both halves read one log_factorials table (shifted SU(N) parts reach
-    ell + N - 1); it and the labels are freed before log D_0 is summed.
+    Both halves read one log_factorials table, to ell + N - 1 for shifted SU(N) parts and built
+    before the labels so that LOG_TABLE_CAP refuses first; both are freed before log D_0 is summed.
     """
     irr, N = spec.irreps, spec.N
-    lab_A, lab_B = irr.pair(spec)
     lgf = log_factorials(max(spec.L_A, spec.L_B) + N - 1)
+    lab_A, lab_B = irr.pair(spec)
     log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lgf), irr.log_D(N, spec.L_B, lab_B, lgf)
     log_pc, log_d = irr.log_pc_d(N, lab_A)
     del lgf, lab_A, lab_B

@@ -274,6 +274,11 @@ class HaarEnsembleSpec:
             raise Inadmissible(f"need samples >= 1, got {self.samples}")
         if self.seed < 0:
             raise Inadmissible(f"need seed >= 0, got {self.seed}")
+        # the Gamma draws sum to about sum_{t <= lambda_max} D(L, t) >= D_A D_B of each block;
+        # it stays below half the float range, which D(L, 0) >= 2^L / (L+1)^2 passes at L > 1100
+        if self.L > 1100 or sum(su2_sector_dim(self.L, t)
+                                for t in range(self.lambda_max + 1)) >= 2**1023:
+            raise Inadmissible(f"L={self.L}, lambda_max={self.lambda_max} leaves the float range")
 
 
 def _draw_weights(spec: HaarEnsembleSpec, index: int, dims: np.ndarray) -> np.ndarray:

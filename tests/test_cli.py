@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import statent
-from statent.cli import main
+from statent.cli import OPTIONS, SUBCOMMANDS, RunConfig, main
+from statent.su2cg import HaarEnsembleSpec, haar_average_negativity
 
 try:
     import jsonschema
@@ -166,7 +169,7 @@ def test_log2_rescales_display(capsys):
 
 def test_scan_csv_and_determinism(tmp_path, capsys):
     args = ["scan", "--family", "tl", "--N", "3", "--L-min", "8", "--L-max", "32",
-            "--geometric", "--quantities", "en,sop", "--seed", "7"]
+            "--geometric", "--quantities", "en,sop"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--output", str(f1)]) == 0
     assert main(args + ["--output", str(f2)]) == 0
@@ -219,11 +222,11 @@ def test_oracle_pass_and_cap(capsys):
     assert "resource cap" in err
 
 
-def test_oracle_takes_no_sweeps(capsys):
+def test_oracle_refuses_max_sweeps(capsys):
     # the oracle's state comes from the orbit closure; --max-sweeps bounds only dynamics
     code, out, _ = run_cli(["oracle", "--family", "su2", "--L", "4", "--max-sweeps", "1"], capsys)
-    assert code == 0
-    assert out.count("PASS") == 5
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -434,3 +437,106 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["quantities"]["en"] == 0.0
+
+
+def test_every_option_is_a_field_some_subcommand_reads():
+    # an option declared in one table only would be offered and ignored, or read and not offered
+    names = {f.name for f in fields(RunConfig)} - {"subcommand"}
+    assert set(OPTIONS) == names
+    assert set().union(*(reads for _, reads in SUBCOMMANDS.values())) == names
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_subcommand_offers_the_flags_it_reads(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    offered = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert offered == {"--help", "--config"} | {OPTIONS[k][0] for k in SUBCOMMANDS[sub][1]}
+
+
+_UNREAD = [(sub, key) for sub, (_, reads) in SUBCOMMANDS.items()
+           for key in OPTIONS if key not in reads]
+
+
+@pytest.mark.parametrize("sub, key", _UNREAD, ids=[f"{s}-{k}" for s, k in _UNREAD])
+def test_unread_flag_exit_2(sub, key, capsys):
+    flag, kwargs = OPTIONS[key]
+    value = [] if kwargs.get("action") == "store_const" else ["1"]
+    code, out, err = run_cli([sub, "--family", "su2", flag, *value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible") and flag in err
+
+
+@pytest.mark.parametrize("sub, key, value", [
+    ("haar", "log2", True), ("scan", "seed", 7), ("oracle", "max_sweeps", 1),
+    ("compute", "samples", 5), ("dynamics", "fmt", "json"), ("asymptote", "L", 64),
+])
+def test_config_unread_key_exit_2(sub, key, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "su2", key: value}))
+    code, out, err = run_cli([sub, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible") and key in err
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--backend", "bogus"],
+    ["compute", "--L", "x"],
+    ["compute", "--bogus", "1"],
+    ["bogus"],
+    [],
+])
+def test_parser_errors_take_one_line(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("inadmissible")
+
+
+@pytest.mark.parametrize("family", [["tl", "--N", "3"], ["tl", "--N", "2"], ["sun", "--N", "3"],
+                                    ["u1"], ["pf", "--N", "2"]])
+def test_haar_refuses_other_families(family, capsys):
+    code, out, err = run_cli(["haar", "--L", "8", "--family", *family], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "haar needs su2" in err
+
+
+@pytest.mark.parametrize("cut, mean", [(None, "0.274108913262"), (2, "0.225270910844")])
+def test_haar_reads_family_and_cut(cut, mean, capsys):
+    args = ["haar", "--L", "8", "--lambda-max", "2", "--samples", "3"]
+    args += [] if cut is None else ["--cut", str(cut)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert run_cli(args + ["--family", "sun", "--N", "2"], capsys) == (0, out, "")
+    spec = HaarEnsembleSpec(L=8, lambda_max=2, samples=3, seed=12345, L_A=cut)
+    row = out.splitlines()[-1].split(",")
+    assert row[4] == mean == f"{haar_average_negativity(spec)[0]:.12g}"
+
+
+def test_haar_refuses_sector_dims_past_the_float_range(capsys):
+    code, out, err = run_cli(["haar", "--family", "su2", "--L", "1040", "--samples", "2",
+                              "--lambda-max", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "float range" in err
+
+
+def test_log_backend_length_cap_exit_4():
+    # the log backend needs about 15 B per site; the child runs under a memory
+    # cap in case the table is built rather than refused
+    code = ("import resource, sys, time; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from statent.cli import main; t = time.perf_counter(); rc = main(sys.argv[1:]); "
+            "print(time.perf_counter() - t); sys.exit(rc)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "compute", "--family", "su2", "--L", "1000000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(statent.__file__))},
+    )
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("resource cap")
+    assert float(out.stdout) < 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from statent import su2cg
-from statent.commutants import su2_sector_dim
+from statent.commutants import Inadmissible, su2_sector_dim
 from statent.su2cg import (
     HaarEnsembleSpec,
     InvalidSpin,
@@ -150,6 +150,17 @@ def test_haar_mean_decreases_with_lambda_max():
         for lm in (0, 4, 8)
     ]
     assert means[0] > means[1] > means[2]
+
+
+def test_haar_refuses_sector_dims_past_the_float_range():
+    # D(1040, 0) and D(1040, 1) overflow a float; at L = 1036 each D(L, t <= 2) fits,
+    # but the Gamma draws of lambda_max = 2 sum past the float range
+    with pytest.raises(Inadmissible, match="float range"):
+        haar_average_negativity(HaarEnsembleSpec(L=1040, lambda_max=1, samples=2, seed=0))
+    with pytest.raises(Inadmissible, match="float range"):
+        HaarEnsembleSpec(L=1036, lambda_max=2, samples=2, seed=0).validate()
+    HaarEnsembleSpec(L=1036, lambda_max=0, samples=2, seed=0).validate()
+    HaarEnsembleSpec(L=1032, lambda_max=5, samples=2, seed=0, L_A=2).validate()
 
 
 def test_crossing_point_examples():
