@@ -471,10 +471,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="statent",
         description="Exact stationary-state entanglement for strongly symmetric channels.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name, (fn, reads) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=fn.__doc__)
+        sp = sub.add_parser(name, help=fn.__doc__, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
         for key in reads:
             sp.add_argument(OPTIONS[key][0], dest=key, **OPTIONS[key][1])

@@ -259,9 +259,10 @@ def log_factorials(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Irreps:
-    """One family's irreps: labels on ell sites (one array row per label), how
-    they pair across the cut (default: each label with itself on L_min), and
-    (pattern count, degeneracy) and the dimension D on ell sites per label.
+    """One family's irreps: labels on ell sites (one array row per label), an
+    upper estimate of their number that builds none (estimate), how they pair
+    across the cut (default: each label with itself on L_min), and (pattern
+    count, degeneracy) and the dimension D on ell sites per label.
 
     Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
     log flavour (log_pc_d, log_D: a label array; log_D gathers from lgf, a
@@ -279,10 +280,6 @@ class Irreps:
     def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         lab = self.labels(spec.N, spec.L_min)
         return lab, lab
-
-    def estimate(self, N: int, ell: int) -> int:
-        """Cheap upper estimate of the number of irreps on ell sites."""
-        return len(self.labels(N, ell))
 
     def name(self, ell: int, lab):
         return lab
@@ -305,6 +302,10 @@ class U1Irreps(Irreps):
 
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(ell + 1)
+
+    def estimate(self, N: int, ell: int) -> int:
+        """The number of labels on ell sites, without building them."""
+        return ell + 1
 
     def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         kA = np.arange(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
@@ -329,6 +330,10 @@ class BallotIrreps(Irreps):
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(ell // 2 + 1)
 
+    def estimate(self, N: int, ell: int) -> int:
+        """The number of labels on ell sites, without building them."""
+        return ell // 2 + 1
+
     def pc_d(self, N: int, lam: int) -> tuple[int, int]:
         return 1, q_int_exact(2 * lam + 1, N)
 
@@ -352,6 +357,10 @@ class PFIrreps(Irreps):
 
     def labels(self, N: int, ell: int) -> np.ndarray:
         return np.arange(0, ell + 1, 2)
+
+    def estimate(self, N: int, ell: int) -> int:
+        """The number of labels on ell sites, without building them."""
+        return ell // 2 + 1
 
     def pc_d(self, N: int, M: int) -> tuple[int, int]:
         return pf_pattern_count(N, M), 1

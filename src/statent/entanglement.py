@@ -30,8 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutants import (
-    CommutantSpec, IrrepRecord, LogSectors, commutant_dimension, enumerate_sectors,
-    log_factorials, max_log_degeneracy, sector_log_arrays, _lse, _superfactorial,
+    CommutantSpec, IrrepRecord, LogSectors, TooManySectors, commutant_dimension,
+    enumerate_sectors, log_factorials, max_log_degeneracy, sector_log_arrays, _lse,
+    _superfactorial,
 )
 from .exactnum import LogReal, exact_log, sum_ratio_terms
 
@@ -211,13 +212,22 @@ class EntanglementReport:
 
 
 def pick_backend(spec: CommutantSpec, backend: str = "auto") -> str:
-    if backend in ("exact", "log"):
-        return backend
-    # the paired sectors are among the irreps on the smaller half, so a cut
-    # and its mirror image get the same backend
-    if (spec.L <= EXACT_L_THRESHOLD
-            and spec.irreps.estimate(spec.N, spec.L_min) <= EXACT_SECTOR_CAP):
-        return "exact"
+    """The backend compute_report runs: auto takes "exact" up to L = EXACT_L_THRESHOLD.
+
+    Auto and an explicit exact both need the irreps on the smaller half to fit
+    EXACT_SECTOR_CAP: auto falls back to log, exact raises TooManySectors.
+    """
+    if backend == "log":
+        return "log"
+    if backend == "exact" or spec.L <= EXACT_L_THRESHOLD:
+        # the paired sectors are among the irreps on the smaller half, so a cut
+        # and its mirror image get the same backend
+        est = spec.irreps.estimate(spec.N, spec.L_min)
+        if est <= EXACT_SECTOR_CAP:
+            return "exact"
+        if backend == "exact":
+            raise TooManySectors(f"~{est} irreps on {spec.L_min} sites exceed the exact "
+                                 f"backend's EXACT_SECTOR_CAP = {EXACT_SECTOR_CAP}")
     return "log"
 
 

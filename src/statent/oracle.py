@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -270,13 +270,13 @@ def reachable_states(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     moves = [(N ** (L - ch.sites[0] - len(ch.sites)), N ** len(ch.sites),
               np.any([K != 0 for K in ch.ops], axis=0)) for ch in kraus.channels]
     while frontier.size:
-        found = []
+        hit = np.zeros(N**L, dtype=bool)
         for B, d, leads in moves:
             loc = frontier // B % d
             a, i = np.nonzero(leads[:, loc])
-            found.append(frontier[i] + (a - loc[i]) * B)
-        frontier = np.unique(np.concatenate(found))
-        frontier = frontier[~seen[frontier]]
+            hit[frontier[i] + (a - loc[i]) * B] = True
+        # not np.unique: its masked-array check imports numpy.ma in every process
+        frontier = np.flatnonzero(hit & ~seen)
         seen[frontier] = True
     return np.flatnonzero(seen)
 
@@ -485,67 +485,109 @@ def partial_transpose(state: DenseState, cut: int) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(dA * dB, dA * dB)
 
 
+@lru_cache(maxsize=4)
+def _blocks(shape: tuple[int, int], packed: bytes, hermitian: bool):
+    """The connected blocks of one nonzero pattern, grouped by shape: see _partition.
+
+    packed is np.packbits(a != 0) of an array of this shape.  hermitian joins
+    i and j when a[i, j] or a[j, i] is nonzero, one index set for rows and
+    columns (breadth-first from each row not yet placed); otherwise the blocks
+    are the components of the bipartite graph row i ~ column j iff a[i, j] !=
+    0 (breadth-first, alternating rows and columns).  All-zero rows and
+    columns join no block.
+    """
+    nz = np.unpackbits(np.frombuffer(packed, np.uint8), count=shape[0] * shape[1])
+    nz = nz.reshape(shape).view(bool)
+    blocks = []
+    if hermitian:
+        nz = nz | nz.T
+        unplaced = nz.any(axis=1)
+        for start in np.flatnonzero(unplaced):
+            if not unplaced[start]:
+                continue
+            unplaced[start] = False
+            block = frontier = np.array([start])
+            while frontier.size:
+                frontier = np.flatnonzero(nz[frontier].any(axis=0) & unplaced)
+                unplaced[frontier] = False
+                block = np.concatenate((block, frontier))
+            idx = np.sort(block)
+            blocks.append((idx, idx))
+    else:
+        rows_left = nz.any(axis=1)
+        cols_left = nz.any(axis=0)
+        for start in np.flatnonzero(rows_left):
+            if not rows_left[start]:
+                continue
+            rows_left[start] = False
+            rows, cols = [np.array([start])], []
+            while rows[-1].size:
+                cols.append(np.flatnonzero(nz[rows[-1]].any(axis=0) & cols_left))
+                cols_left[cols[-1]] = False
+                rows.append(np.flatnonzero(nz[:, cols[-1]].any(axis=1) & rows_left))
+                rows_left[rows[-1]] = False
+            blocks.append((np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))))
+    by_shape: dict[tuple[int, int], list] = {}
+    for r, c in blocks:
+        by_shape.setdefault((r.size, c.size), []).append((r, c))
+    groups = []
+    for group in by_shape.values():
+        rows = np.stack([r for r, _ in group])
+        cols = rows if hermitian else np.stack([c for _, c in group])
+        rows.flags.writeable = cols.flags.writeable = False
+        groups.append((rows, cols))
+    return tuple(groups)
+
+
+def _partition(a: np.ndarray, hermitian: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """a's connected blocks as read-only (rows, cols) stacks, one pair per block shape.
+
+    Stack k holds count_k blocks: rows (count_k, r_k), cols (count_k, c_k),
+    each row of indices ascending, so a[rows[:, :, None], cols[:, None, :]]
+    is every block of that shape at once.  Memoized on the exact nonzero
+    pattern (shape plus packed a != 0: at most N^2L / 8 bytes, 5.4 MB at
+    DEFAULT_DIM_CAP) in four slots, which hold index arrays and never values.
+    A dynamics run repeats a few patterns: 8 partitions serve the 117 spectra
+    of SU(3) at L = 6, whose rows each read a PT, a rho and a realignment.
+    """
+    return _blocks(a.shape, np.packbits(a != 0).tobytes(), hermitian)
+
+
 def block_eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(a), solved one connected block of a's nonzero pattern at a time.
 
-    The blocks are the connected components of the graph i ~ j iff a[i, j] != 0
-    or a[j, i] != 0, found by a breadth-first search from each row not yet
-    placed; all-zero rows contribute exact zeros.  Blocks split only at exact
-    zeros, so the spectrum is the same as from one eigensolve of a, returned
-    the same way: all n values, ascending.
+    The blocks are those of _partition(a, hermitian=True); all blocks of one
+    size go to one stacked eigvalsh call, which runs the same LAPACK routine
+    on each block as a call per block would, bit for bit.  All-zero rows
+    contribute exact zeros.  Blocks split only at exact zeros, so the
+    spectrum is the same as from one eigensolve of a, returned the same way:
+    all n values, ascending.
     """
-    nz = a != 0
-    nz |= nz.T
-    unplaced = nz.any(axis=1)
-    parts = [np.zeros(a.shape[0] - np.count_nonzero(unplaced))]
-    for start in np.flatnonzero(unplaced):
-        if not unplaced[start]:
-            continue
-        unplaced[start] = False
-        block = frontier = np.array([start])
-        while frontier.size:
-            frontier = np.flatnonzero(nz[frontier].any(axis=0) & unplaced)
-            unplaced[frontier] = False
-            block = np.concatenate((block, frontier))
-        idx = np.sort(block)
-        parts.append(np.linalg.eigvalsh(a[np.ix_(idx, idx)]))
-    return np.sort(np.concatenate(parts))
+    vals = [np.linalg.eigvalsh(a[r[:, :, None], c[:, None, :]]).ravel()
+            for r, c in _partition(a, hermitian=True)]
+    placed = sum(v.size for v in vals)
+    return np.sort(np.concatenate([np.zeros(a.shape[0] - placed), *vals]))
 
 
 def block_svdvals(m: np.ndarray) -> np.ndarray:
     """np.linalg.svd(m, compute_uv=False), one connected block of m's nonzero pattern at a time.
 
-    The blocks are the connected components of the bipartite graph row i ~
-    column j iff m[i, j] != 0, found by a breadth-first search that alternates
-    rows and columns from each row not yet placed; all-zero rows and columns
-    join no block.  Blocks split only at exact zeros, so the values are the
-    same as from one SVD of m, returned the same way: all min(r, c) values,
-    descending, zero-padded.  A pattern that is one block gets the SVD of the
-    whole m, zero rows and columns included, bit for bit: a product state is
-    one block, and its S_OP is SVD round-off that the pinned dynamics outputs
-    (sweep 0) record.
+    The blocks are those of _partition(m, hermitian=False); all blocks of one
+    shape go to one stacked SVD call (bit for bit a call per block, as in
+    block_eigvalsh).  Blocks split only at exact zeros, so
+    the values are the same as from one SVD of m, returned the same way: all
+    min(r, c) values, descending, zero-padded.  A pattern that is one block
+    gets the SVD of the whole m, zero rows and columns included, bit for bit:
+    a product state is one block, and its S_OP is SVD round-off that the
+    pinned dynamics outputs (sweep 0) record.
     """
-    nz = m != 0
-    rows_left = nz.any(axis=1)
-    cols_left = nz.any(axis=0)
-    blocks = []
-    for start in np.flatnonzero(rows_left):
-        if not rows_left[start]:
-            continue
-        rows_left[start] = False
-        rows, cols = [np.array([start])], []
-        while rows[-1].size:
-            cols.append(np.flatnonzero(nz[rows[-1]].any(axis=0) & cols_left))
-            cols_left[cols[-1]] = False
-            rows.append(np.flatnonzero(nz[:, cols[-1]].any(axis=1) & rows_left))
-            rows_left[rows[-1]] = False
-        blocks.append((np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))))
-    if len(blocks) == 1:
+    groups = _partition(m, hermitian=False)
+    if sum(len(r) for r, _ in groups) == 1:
         return np.linalg.svd(m, compute_uv=False)
     s = np.zeros(min(m.shape))
-    if blocks:
-        vals = np.concatenate([np.linalg.svd(m[np.ix_(r, c)], compute_uv=False)
-                               for r, c in blocks])
+    if groups:
+        vals = np.concatenate([np.linalg.svd(m[r[:, :, None], c[:, None, :]],
+                                             compute_uv=False).ravel() for r, c in groups])
         s[:vals.size] = np.sort(vals)[::-1]
     return s
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields
 
 import pytest
@@ -377,6 +378,30 @@ def test_sun_partition_count_caps_large_N():
     assert "resource cap" in out.stderr
 
 
+def test_exact_backend_refuses_past_its_sector_cap():
+    # a child interpreter under a 3 GB address-space cap: the irrep count is
+    # estimated without building the labels, so both refusals take well under a second
+    code = textwrap.dedent("""
+        import json, resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        from statent.cli import main
+        runs = []
+        for extra in (["--L", "1000000000"], ["--L", "2000000", "--quantities", "en"]):
+            t0 = time.perf_counter()
+            code = main(["compute", "--family", "su2", "--backend", "exact", *extra])
+            runs.append([code, time.perf_counter() - t0])
+        print(json.dumps(runs))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(statent.__file__))},
+    )
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    assert [c for c, _ in runs] == [4, 4] and max(t for _, t in runs) < 1.0, runs
+    assert out.stderr.count("resource cap: ") == 2 and "EXACT_SECTOR_CAP" in out.stderr
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"family": "su2", "L": 8, "quantities": ["en"]}
     path = tmp_path / "cfg.json"
@@ -466,7 +491,8 @@ def test_unread_flag_exit_2(sub, key, capsys):
     code, out, err = run_cli([sub, "--family", "su2", flag, *value], capsys)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("inadmissible") and flag in err
+    assert err.count("\n") == 1 and err.startswith("inadmissible")
+    assert f"unrecognized arguments: {flag}" in err  # not "ambiguous option" (asymptote --L)
 
 
 @pytest.mark.parametrize("sub, key, value", [
@@ -488,6 +514,8 @@ def test_config_unread_key_exit_2(sub, key, value, tmp_path, capsys):
     ["compute", "--bogus", "1"],
     ["bogus"],
     [],
+    ["compute", "--family", "su2", "--L", "8", "--quant", "en"],  # no abbreviated flags
+    ["scan", "--fam", "su2", "--L-list", "8"],
 ])
 def test_parser_errors_take_one_line(args, capsys):
     code, out, err = run_cli(args, capsys)

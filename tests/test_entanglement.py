@@ -307,6 +307,28 @@ def test_mirror_cuts_pick_same_backend():
         assert x == pytest.approx(y, rel=1e-12, abs=1e-12), name
 
 
+def test_estimate_counts_labels_without_building_them():
+    for fam, N in ((Family.U1, 2), (Family.SUN, 2), (Family.TL, 3), (Family.PF, 3)):
+        irreps = CommutantSpec(fam, N, 4, 2).irreps
+        for ell in (1, 2, 7, 64, 1001):
+            assert irreps.estimate(N, ell) == len(irreps.labels(N, ell)), (fam, ell)
+
+
+def test_explicit_exact_backend_stops_at_its_sector_cap():
+    # every size the tests run on the exact backend, and each family's last size under the cap
+    for spec in [CommutantSpec(Family.TL, 3, 4096, 2048), CommutantSpec(Family.SUN, 3, 510, 255),
+                 CommutantSpec(Family.SUN, 4, 256, 128), CommutantSpec(Family.SUN, 4, 400, 100),
+                 CommutantSpec(Family.SUN, 2, 799_996, 399_998),
+                 CommutantSpec(Family.U1, 2, 400_000, 199_999)]:
+        assert pick_backend(spec, "exact") == "exact", spec
+    for spec in [CommutantSpec(Family.SUN, 2, 800_000, 400_000),
+                 CommutantSpec(Family.U1, 2, 400_000, 200_000),
+                 CommutantSpec(Family.SUN, 5, 10_000, 5000)]:
+        with pytest.raises(com.TooManySectors, match="EXACT_SECTOR_CAP"):
+            pick_backend(spec, "exact")
+        assert pick_backend(spec) == pick_backend(spec, "log") == "log"
+
+
 def test_sun_partition_estimate_covers_large_N():
     irreps = CommutantSpec(Family.SUN, 3, 6, 3).irreps
     # the binomial estimate reads 1 at N = ell; the counts are p(30), p(50), p(100)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -287,6 +290,19 @@ def test_reachable_set_sizes():
     assert size(Family.PF, 3, 6) == pf_pattern_census(3, 6)[()]
 
 
+def test_stationary_state_leaves_numpy_ma_unloaded():
+    # np.unique's masked-array check imports numpy.ma, 9-17 ms in a fresh interpreter
+    code = ("import sys; from statent.commutants import CommutantSpec, Family; "
+            "from statent.oracle import stationary_state; "
+            "stationary_state(CommutantSpec(Family.SUN, 2, 4, 2)); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(orc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 def _full_space_sweep(rho, ks):
     # the reference sweep: each plan step on the whole N^L x N^L matrix, as
     # one GEMM over the local pair index with every context pair a column
@@ -460,6 +476,56 @@ def _permuted_blocks(rng, sizes, zero_rows):
     return a[np.ix_(perm, perm)]
 
 
+def _components(n: int, edges) -> list[list[int]]:
+    """Connected components of n nodes by union-find, each ascending: the reference block finder."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    comps: dict[int, list[int]] = {}
+    for x in range(n):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def _loop_eigvalsh(a):
+    """block_eigvalsh as one np.ix_ eigensolve per block: the reference."""
+    nz = (a != 0) | (a != 0).T
+    parts = [np.linalg.eigvalsh(a[np.ix_(c, c)]) if nz[np.ix_(c, c)].any() else np.zeros(len(c))
+             for c in _components(a.shape[0], zip(*np.nonzero(nz)))]
+    return np.sort(np.concatenate(parts))
+
+
+def _loop_svdvals(m):
+    """block_svdvals as one np.ix_ SVD per block: the reference (rows are nodes 0..r-1)."""
+    r, c = m.shape
+    edges = [(i, r + j) for i, j in zip(*np.nonzero(m))]
+    blocks = [([x for x in comp if x < r], [x - r for x in comp if x >= r])
+              for comp in _components(r + c, edges) if len(comp) > 1]
+    if len(blocks) == 1:
+        return np.linalg.svd(m, compute_uv=False)
+    s = np.zeros(min(m.shape))
+    if blocks:
+        vals = np.concatenate([np.linalg.svd(m[np.ix_(i, j)], compute_uv=False) for i, j in blocks])
+        s[:vals.size] = np.sort(vals)[::-1]
+    return s
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.integers(1, 6), max_size=4), hst.integers(1, 3), hst.integers(0, 4),
+       hst.integers(0, 2**32 - 1))
+def test_block_eigvalsh_is_the_per_block_loop(sizes, copies, zero_rows, seed):
+    # copies repeat every block size, so several blocks share one stacked call
+    assume(sizes or zero_rows)
+    a = _permuted_blocks(np.random.default_rng(seed), sizes * copies, zero_rows)
+    assert np.array_equal(block_eigvalsh(a), _loop_eigvalsh(a))
+
+
 @settings(max_examples=80, deadline=None)
 @given(hst.lists(hst.integers(1, 6), max_size=5), hst.integers(0, 4),
        hst.integers(0, 2**32 - 1))
@@ -488,8 +554,8 @@ def test_block_eigvalsh_solves_each_block_alone(monkeypatch):
     solved = []
     full = np.linalg.eigvalsh
 
-    def spy(m):
-        solved.append(m.shape[0])
+    def spy(m):  # one entry per matrix of a stacked call
+        solved.extend(b.shape[0] for b in m.reshape(-1, *m.shape[-2:]))
         return full(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
@@ -502,6 +568,7 @@ def test_block_spectra_match_full_on_stationary_states(fam, N, L, LA):
     st = stationary_state(CommutantSpec(fam, N, L, LA))
     for a in (partial_transpose(st, LA), st.matrix):
         assert np.max(np.abs(block_eigvalsh(a) - np.linalg.eigvalsh(a))) <= 1e-13
+        assert np.array_equal(block_eigvalsh(a), _loop_eigvalsh(a))
 
 
 def _permuted_rect_blocks(rng, shapes, zero_rows, zero_cols):
@@ -526,6 +593,46 @@ def test_block_svdvals_matches_full_svd(shapes, zero_rows, zero_cols, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, want[0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.tuples(hst.integers(1, 4), hst.integers(1, 4)), max_size=4),
+       hst.integers(1, 3), hst.integers(0, 3), hst.integers(0, 3), hst.integers(0, 2**32 - 1))
+def test_block_svdvals_is_the_per_block_loop(shapes, copies, zero_rows, zero_cols, seed):
+    m = _permuted_rect_blocks(np.random.default_rng(seed), shapes * copies, zero_rows, zero_cols)
+    assume(m.size)
+    assert np.array_equal(block_svdvals(m), _loop_svdvals(m))
+
+
+def test_block_memo_holds_partitions_not_values():
+    rng = np.random.default_rng(5)
+    a = _permuted_blocks(rng, [2, 3, 2, 1], 2)
+    c = rng.standard_normal(a.shape)
+    b = np.where(a != 0, c + c.T, 0.0)  # a's pattern, other values
+    m = _permuted_rect_blocks(rng, [(2, 3), (2, 3), (1, 4)], 1, 2)
+    n = np.where(m != 0, rng.standard_normal(m.shape), 0.0)
+    for fn, loop, x, y in ((block_eigvalsh, _loop_eigvalsh, a, b),
+                           (block_svdvals, _loop_svdvals, m, n)):
+        hits = orc._blocks.cache_info().hits
+        got_x, got_y = fn(x), fn(y)
+        assert orc._blocks.cache_info().hits == hits + 1  # y reads x's partition
+        assert np.array_equal(got_x, loop(x)) and np.array_equal(got_y, loop(y))
+        assert not np.array_equal(got_x, got_y)
+
+
+def test_block_memo_is_bounded_and_read_only():
+    rng = np.random.default_rng(11)
+    for k in range(1, 9):
+        block_eigvalsh(_permuted_blocks(rng, [k, 1, 1], 1))
+        block_svdvals(_permuted_rect_blocks(rng, [(k, 2), (1, 1)], 1, 1))
+    info = orc._blocks.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4
+    a = _permuted_blocks(rng, [2, 2, 3], 1)
+    m = _permuted_rect_blocks(rng, [(2, 3), (2, 3), (1, 1)], 1, 1)
+    for rows, cols in orc._partition(a, hermitian=True) + orc._partition(m, hermitian=False):
+        assert not rows.flags.writeable and not cols.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+
+
 def test_block_svdvals_edge_cases():
     assert block_svdvals(np.array([[-3.0]])).tolist() == [3.0]
     assert block_svdvals(np.zeros((1, 1))).tolist() == [0.0]
@@ -540,8 +647,8 @@ def test_block_svdvals_solves_each_block_alone(monkeypatch):
     solved = []
     full = np.linalg.svd
 
-    def spy(a, compute_uv=True):
-        solved.append(a.shape)
+    def spy(a, compute_uv=True):  # one entry per matrix of a stacked call
+        solved.extend(b.shape for b in a.reshape(-1, *a.shape[-2:]))
         return full(a, compute_uv=compute_uv)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
@@ -566,6 +673,7 @@ def test_block_ose_matches_full_svd_on_stationary_states(fam, N, L, LA):
     p = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)**2
     p = p[p > 1e-24]
     assert abs(dense_ose(st, LA) - float(-np.sum(p * np.log(p)))) <= 1e-13
+    assert np.array_equal(block_svdvals(m), _loop_svdvals(m))
 
 
 def test_validate_finds_a_negative_eigenvalue():
