@@ -3,11 +3,14 @@
 Builds the local Kraus channels for each family, finds the stationary state
 as the projector onto the seed's orbit under the Kraus operators (checked by
 one sweep of the channel; mixed seeds iterate the sweep to its fixed point),
-and computes every entanglement quantity straight from the full dense density
-matrix (its spectra one connected block of nonzeros at a time, which a
-conserved charge makes small).  Nothing here knows about sector data: this is
-the independent side of the dual-route check that certifies the closed forms
-(and the pair-flip counting) at small L.
+and computes every entanglement quantity straight from the dense density
+matrix.  A state is held as its block over the basis states the seed can
+reach; the partial transpose, the realignment and rho itself are index maps
+from block entries to target positions, and each spectrum is solved one
+connected block of the target's nonzeros at a time, which a conserved charge
+makes small.  Nothing here knows about sector data: this is the independent
+side of the dual-route check that certifies the closed forms (and the
+pair-flip counting) at small L.
 """
 
 from __future__ import annotations
@@ -50,22 +53,43 @@ class BadCut(ValueError):
 
 @dataclass
 class DenseState:
-    """Density matrix on a chain of qudits with uniform site dimension."""
+    """Density matrix on a chain of qudits with uniform site dimension.
 
-    matrix: np.ndarray
+    Held as its block over the sorted basis states `states`: the matrix is
+    exactly zero outside states x states.  Without states, block is the
+    whole N^L x N^L matrix.
+    """
+
+    block: np.ndarray
     site_dims: list[int]
+    states: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.states is None:
+            self.states = np.arange(len(self.block))
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.site_dims)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full N^L x N^L matrix, built on each call (a reference: no quantity reads it)."""
+        full = np.zeros((self.dim, self.dim), dtype=self.block.dtype)
+        full[np.ix_(self.states, self.states)] = self.block
+        return full
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(np.trace(self.block).real)
 
     def validate(self) -> None:
-        m = self.matrix
-        if np.linalg.norm(m - m.conj().T) > 1e-12 * max(1.0, np.linalg.norm(m)):
+        b = self.block
+        if np.linalg.norm(b - b.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b)):
             raise ValueError("state is not Hermitian")
         if abs(self.trace - 1.0) > 1e-12:
             raise ValueError(f"trace is {self.trace}, not 1")
-        w = block_eigvalsh(m)
+        w = block_eigvalsh(b)  # the zeros outside the block change no minimum below 0
         if w.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {w.min()}")
 
@@ -223,49 +247,55 @@ def _channel_superop(ch: LocalChannel) -> np.ndarray:
     return sum(np.kron(K, K.conj()) for K in ch.ops)
 
 
-def _superop_on_block(block: np.ndarray, states: np.ndarray, sites: tuple[int, ...],
-                      S: np.ndarray, N: int, L: int) -> np.ndarray:
-    """S on the block over `states`: the full-space GEMM, with only the context
-    pairs (states of the other sites) that occur in `states` as columns."""
-    d = N ** len(sites)
-    B = N ** (L - sites[0] - len(sites))
-    loc = states // B % d
-    ctx, ci = np.unique(states // (B * d) * B + states % B, return_inverse=True)
-    rows = loc[:, None] * d + loc[None, :]
-    cols = ci[:, None] * len(ctx) + ci[None, :]
-    x = np.zeros((d * d, len(ctx) ** 2), dtype=block.dtype)
-    x[rows, cols] = block
-    return (S @ x)[rows, cols]
+def sweep_steps(kraus: KrausSet, states: np.ndarray, dtype) -> list[tuple]:
+    """Each KrausSet.plan step laid out on the block over `states`: (rows, cols, x, y).
+
+    x is the zero-filled (d^2, nc^2) GEMM input: rows the local pair index,
+    columns the pairs of the nc contexts (states of the other sites) that
+    occur in `states`.  The block scatters to x[rows, cols], the same
+    positions every sweep, so x stays zero elsewhere; y takes S @ x.  Built
+    once per trajectory, for blocks of one dtype.
+    """
+    N, L = kraus.N, kraus.L
+    steps = []
+    for sites, _ in kraus.plan:
+        d = N ** len(sites)
+        B = N ** (L - sites[0] - len(sites))
+        loc = states // B % d
+        ctx, ci, _, _ = _groups(states // (B * d) * B + states % B)
+        x = np.zeros((d * d, len(ctx) ** 2), dtype=dtype)
+        steps.append((loc[:, None] * d + loc, ci[:, None] * len(ctx) + ci, x, np.empty_like(x)))
+    return steps
 
 
-def apply_sweep(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
+def apply_sweep(block: np.ndarray, kraus: KrausSet, steps: list[tuple]) -> np.ndarray:
     """One full sweep of the composite channel (see KrausSet.plan for order).
 
-    Runs on the block over reachable_states and embeds it in a zero matrix,
-    bit for bit the full-space sweep: each entry kept is the same dot product
-    over the same inputs less exact zeros, and the reachable set is closed.
+    Runs on the block over the reachable states that `steps` lays out (see
+    sweep_steps), bit for bit the full-space sweep there: each entry is the
+    same dot product over the same inputs less exact zeros, and the reachable
+    set is closed, so the full-space result vanishes outside it.
     """
-    states = reachable_states(kraus, rho)
-    block = rho[np.ix_(states, states)]
-    for sites, S in kraus.plan:
-        block = _superop_on_block(block, states, sites, S, kraus.N, kraus.L)
-    out = np.zeros(rho.shape, dtype=block.dtype)
-    out[np.ix_(states, states)] = block
-    return out
+    for (_, S), (rows, cols, x, y) in zip(kraus.plan, steps):
+        x[rows, cols] = block
+        block = np.matmul(S, x, out=y)[rows, cols]
+    return block
 
 
-def reachable_states(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Sorted basis states reachable from the support of rho under the Kraus operators.
+def reachable_states(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
+    """Sorted basis states reachable from the sorted basis states `states` under the Kraus ops.
 
     Breadth-first search over each channel's local sparsity pattern: local
     state b leads to a if any K[a, b] != 0.  The set S is closed under every
     embedded K (K[not S, S] = 0), so every iterate of the sweep vanishes
-    exactly outside S x S.  Reads only the Kraus matrices, never sector data.
+    exactly outside S x S.  The Kraus operators are Hermitian, so reaching
+    is symmetric: S is a union of components, each of which keeps its trace
+    under the sweep, and the states reachable from any iterate are S again.
+    Reads only the Kraus matrices, never sector data.
     """
     N, L = kraus.N, kraus.L
     seen = np.zeros(N**L, dtype=bool)
-    nonzero = rho != 0
-    frontier = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    frontier = np.asarray(states)
     seen[frontier] = True
     moves = [(N ** (L - ch.sites[0] - len(ch.sites)), N ** len(ch.sites),
               np.any([K != 0 for K in ch.ops], axis=0)) for ch in kraus.channels]
@@ -279,6 +309,15 @@ def reachable_states(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
         frontier = np.flatnonzero(hit & ~seen)
         seen[frontier] = True
     return np.flatnonzero(seen)
+
+
+def _reachable_block(kraus: KrausSet, rho0: DenseState) -> tuple[np.ndarray, np.ndarray]:
+    """The states S reachable from rho0's states, and rho0's block over S (zero-padded)."""
+    S = reachable_states(kraus, rho0.states)
+    at = np.searchsorted(S, rho0.states)
+    block = np.zeros((len(S), len(S)), dtype=rho0.block.dtype)
+    block[np.ix_(at, at)] = rho0.block
+    return S, block
 
 
 def restrict_local(op: np.ndarray, sites: tuple[int, ...], states: np.ndarray,
@@ -337,28 +376,19 @@ def _restricted_sweep(channels: list[list[np.ndarray]], r: np.ndarray) -> np.nda
     return r
 
 
-def _embed(block: np.ndarray, S: np.ndarray, rho0: DenseState) -> DenseState:
-    """The m x m block over the basis states S as a full N^L x N^L state, zero elsewhere."""
-    full = np.zeros(rho0.matrix.shape, dtype=block.dtype)
-    full[np.ix_(S, S)] = block
-    return DenseState(full, list(rho0.site_dims))
-
-
 def channel_fixed_point(kraus: KrausSet, rho0: DenseState) -> DenseState:
     """Iterate sweeps until the Frobenius defect drops to 1e-12 (see _sweeps).
 
     The sweep runs on the m x m block over the reachable basis states S (see
     reachable_states), applying each channel in order as rho -> sum_K K rho K^dag
-    with K restricted to S; the converged block is embedded back into a full
-    N^L x N^L matrix, which is exactly zero outside S x S.  Takes any seed,
+    with K restricted to S; the result is that block over S.  Takes any seed,
     mixed ones included; orbit_state is the sweep-free route for a pure seed.
     """
-    S = reachable_states(kraus, rho0.matrix)
+    S, block = _reachable_block(kraus, rho0)
     channels = _restricted_channels(kraus, S)
-    for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r),
-                               np.array(rho0.matrix[np.ix_(S, S)]), 1e-12, 1_000_000):
+    for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r), block, 1e-12, 1_000_000):
         pass
-    return _embed(block, S, rho0)
+    return DenseState(block, list(rho0.site_dims), S)
 
 
 def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseState:
@@ -374,15 +404,14 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     project out the span V found so far (twice), and keep the left singular
     vectors of the result above 1e-10 x max(1, s_max), until a block adds
     nothing or V spans all of S (P is then the identity on S).  Reads only the
-    Kraus matrices, never sector data.
+    Kraus matrices, never sector data.  The result is the block over S.
 
     One restricted sweep checks the result: NoConvergence if it moves the
     state by more than tol (Frobenius norm).  Raises ValueError for a seed
     that is not rank one on S; channel_fixed_point takes mixed seeds.
     """
-    S = reachable_states(kraus, rho0.matrix)
+    S, seed = _reachable_block(kraus, rho0)
     channels = _restricted_channels(kraus, S)
-    seed = np.array(rho0.matrix[np.ix_(S, S)])
     i = int(np.argmax(np.diagonal(seed).real))
     psi = seed[:, i] / math.sqrt(seed[i, i].real)
     if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
@@ -405,7 +434,7 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     defect = float(np.linalg.norm(_restricted_sweep(channels, block) - block))
     if not defect <= tol:
         raise NoConvergence(f"orbit state moves by {defect:.3e} in one sweep (tol {tol:.1e})")
-    return _embed(block, S, rho0)
+    return DenseState(block, list(rho0.site_dims), S)
 
 
 def iterate_with_trajectory(
@@ -417,13 +446,17 @@ def iterate_with_trajectory(
 ) -> tuple[DenseState, list[dict]]:
     """Like channel_fixed_point but records (sweep, E_N, R3, S_OP, defect).
 
-    Sweeps through the module-global apply_sweep (which a tracer may wrap), whose
-    summation order the pinned dynamics outputs depend on.  Each row solves one
-    PT and one rho spectrum.
+    The reachable states S are found once, and so is each plan step's layout
+    on them (see sweep_steps).  Every sweep goes through the module-global
+    apply_sweep (which a tracer may wrap), whose summation order the pinned
+    dynamics outputs depend on.  Each row solves one PT spectrum, one rho
+    spectrum and one realignment SVD.
     """
+    S, block = _reachable_block(kraus, rho0)
+    steps = sweep_steps(kraus, S, block.dtype)
 
-    def row(sweep: int, rho: np.ndarray, defect: float) -> dict:
-        st = DenseState(rho, list(rho0.site_dims))
+    def row(sweep: int, block: np.ndarray, defect: float) -> dict:
+        st = DenseState(block, list(rho0.site_dims), S)
         w = pt_eigenvalues(st, cut)
         return {
             "sweep": sweep,
@@ -433,11 +466,11 @@ def iterate_with_trajectory(
             "defect": defect,
         }
 
-    rows = [row(0, np.array(rho0.matrix), float("nan"))]
-    sweeps = _sweeps(lambda r: apply_sweep(r, kraus), np.array(rho0.matrix), tol, max_sweeps)
-    for sweep, rho, defect in sweeps:
-        rows.append(row(sweep, rho, defect))
-    return DenseState(rho, list(rho0.site_dims)), rows
+    rows = [row(0, block, float("nan"))]
+    sweeps = _sweeps(lambda b: apply_sweep(b, kraus, steps), block, tol, max_sweeps)
+    for sweep, block, defect in sweeps:
+        rows.append(row(sweep, block, defect))
+    return DenseState(block, list(rho0.site_dims), S), rows
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +483,15 @@ def singlet_product_state(family: Family, N: int, L: int) -> DenseState:
     The Kronecker power of one block: the antisymmetrized N-site block for
     SU(N), the two-site dimer sum_s |ss>/sqrt(N) for TL(N), |01> for U(1)
     (the Neel state, M_tot = 0) and |0> for PF(N) (the all-zeros state,
-    empty dot pattern).  ValueError unless L is a whole number of blocks.
+    empty dot pattern), held as its block over the basis states where psi is
+    nonzero.  ValueError unless L is a whole number of blocks.
     """
     _, _, seed, width = _chain(family, N)
     if L < width or L % width:
         raise ValueError(f"{family.value.upper()}({N}) seed needs L = 0 mod {width}, got L={L}")
     psi = reduce(np.kron, [seed()] * (L // width))
-    return DenseState(np.outer(psi, psi), [N] * L)
+    s = np.flatnonzero(psi)
+    return DenseState(np.outer(psi[s], psi[s]), [N] * L, s)
 
 
 def stationary_state(spec: CommutantSpec) -> DenseState:
@@ -479,122 +514,178 @@ def _split_dims(state: DenseState, cut: int) -> tuple[int, int]:
     return dA, dB
 
 
-def partial_transpose(state: DenseState, cut: int) -> np.ndarray:
+def _pt_targets(state: DenseState, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where rho^T_B puts block entry (i, j): row a_i dB + b_j, column a_j dB + b_i,
+    for states S_i = a_i dB + b_i (an N^L x N^L target)."""
+    _, dB = _split_dims(state, cut)
+    a, b = np.divmod(state.states, dB)
+    return a[:, None] * dB + b, a * dB + b[:, None]
+
+
+def _realigned_targets(state: DenseState,
+                       cut: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """Where the realignment puts block entry (i, j): row a_i dA + a_j, column
+    b_i dB + b_j, for S_i = a_i dB + b_i; and its shape (dA^2, dB^2)."""
     dA, dB = _split_dims(state, cut)
-    r = state.matrix.reshape(dA, dB, dA, dB)
-    return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(dA * dB, dA * dB)
+    a, b = np.divmod(state.states, dB)
+    return a[:, None] * dA + a, b[:, None] * dB + b, (dA * dA, dB * dB)
+
+
+def _groups(x: np.ndarray):
+    """The sorted distinct values of x; for each entry, the index of its value
+    and its place among the entries equal to it (in index order); the count
+    of each value.  np.unique without its numpy.ma import."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, xs.size))
+    idx = np.empty(xs.size, dtype=np.intp)
+    pos = np.empty(xs.size, dtype=np.intp)
+    idx[order] = np.repeat(np.arange(starts.size), counts)
+    pos[order] = np.arange(xs.size) - np.repeat(starts, counts)
+    return xs[first], idx, pos, counts
+
+
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Each of n nodes labelled by the smallest node of its component under edges u ~ v.
+
+    Every edge joining two trees hooks the larger root under the smaller,
+    then pointer jumping flattens the trees, until no edge joins two trees.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        join = ru != rv
+        if not join.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[join], np.minimum(ru, rv)[join])
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 @lru_cache(maxsize=4)
-def _blocks(shape: tuple[int, int], packed: bytes, hermitian: bool):
-    """The connected blocks of one nonzero pattern, grouped by shape: see _partition.
+def _blocks(shape: tuple[int, int], packed: bytes, hermitian: bool) -> tuple[np.ndarray, ...]:
+    """The connected blocks of one nonzero pattern, one gather stack per shape: see _partition.
 
-    packed is np.packbits(a != 0) of an array of this shape.  hermitian joins
-    i and j when a[i, j] or a[j, i] is nonzero, one index set for rows and
-    columns (breadth-first from each row not yet placed); otherwise the blocks
-    are the components of the bipartite graph row i ~ column j iff a[i, j] !=
-    0 (breadth-first, alternating rows and columns).  All-zero rows and
-    columns join no block.
+    packed holds the target position r * shape[1] + c of each nonzero (intp),
+    in the order its value is listed.  hermitian joins i and j when a[i, j]
+    or a[j, i] is nonzero, one index set for rows and columns; otherwise the
+    blocks are the components of the bipartite graph row i ~ column j iff
+    a[i, j] != 0.  The search runs on the rows and columns the nonzeros
+    touch, compacted in order; all-zero rows and columns join no block.
     """
-    nz = np.unpackbits(np.frombuffer(packed, np.uint8), count=shape[0] * shape[1])
-    nz = nz.reshape(shape).view(bool)
-    blocks = []
+    at = np.frombuffer(packed, dtype=np.intp)
+    if not at.size:
+        return ()
+    r, c = np.divmod(at, shape[1])
     if hermitian:
-        nz = nz | nz.T
-        unplaced = nz.any(axis=1)
-        for start in np.flatnonzero(unplaced):
-            if not unplaced[start]:
-                continue
-            unplaced[start] = False
-            block = frontier = np.array([start])
-            while frontier.size:
-                frontier = np.flatnonzero(nz[frontier].any(axis=0) & unplaced)
-                unplaced[frontier] = False
-                block = np.concatenate((block, frontier))
-            idx = np.sort(block)
-            blocks.append((idx, idx))
+        _, ends, _, _ = _groups(np.concatenate((r, c)))
+        u, v = ends[:at.size], ends[at.size:]
+        root = _components(u, v, int(ends.max()) + 1)
+        rid, rpos, rsize = _groups(root)[1:]
+        cpos, csize = rpos, rsize
     else:
-        rows_left = nz.any(axis=1)
-        cols_left = nz.any(axis=0)
-        for start in np.flatnonzero(rows_left):
-            if not rows_left[start]:
-                continue
-            rows_left[start] = False
-            rows, cols = [np.array([start])], []
-            while rows[-1].size:
-                cols.append(np.flatnonzero(nz[rows[-1]].any(axis=0) & cols_left))
-                cols_left[cols[-1]] = False
-                rows.append(np.flatnonzero(nz[:, cols[-1]].any(axis=1) & rows_left))
-                rows_left[rows[-1]] = False
-            blocks.append((np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))))
-    by_shape: dict[tuple[int, int], list] = {}
-    for r, c in blocks:
-        by_shape.setdefault((r.size, c.size), []).append((r, c))
-    groups = []
-    for group in by_shape.values():
-        rows = np.stack([r for r, _ in group])
-        cols = rows if hermitian else np.stack([c for _, c in group])
-        rows.flags.writeable = cols.flags.writeable = False
-        groups.append((rows, cols))
-    return tuple(groups)
+        _, u, _, _ = _groups(r)
+        _, v, _, _ = _groups(c)
+        nr = int(u.max()) + 1
+        root = _components(u, v + nr, nr + int(v.max()) + 1)
+        # every component has rows and columns, so both number them alike
+        rid, rpos, rsize = _groups(root[:nr])[1:]
+        _, _, cpos, csize = _groups(root[nr:])
+    width = int(csize.max()) + 1
+    shapes, gid, slot, count = _groups(rsize * width + csize)
+    block = rid[u]
+    stacks = []
+    for g, key in enumerate(shapes):
+        mine = np.flatnonzero(gid[block] == g)
+        gather = np.full((count[g], key // width, key % width), at.size, dtype=np.intp)
+        gather[slot[block[mine]], rpos[u[mine]], cpos[v[mine]]] = mine
+        gather.flags.writeable = False
+        stacks.append(gather)
+    return tuple(stacks)
 
 
-def _partition(a: np.ndarray, hermitian: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """a's connected blocks as read-only (rows, cols) stacks, one pair per block shape.
+def _partition(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+               hermitian: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The connected blocks of the target that puts values[i, j] at (rows[i, j], cols[i, j]).
 
-    Stack k holds count_k blocks: rows (count_k, r_k), cols (count_k, c_k),
-    each row of indices ascending, so a[rows[:, :, None], cols[:, None, :]]
-    is every block of that shape at once.  Memoized on the exact nonzero
-    pattern (shape plus packed a != 0: at most N^2L / 8 bytes, 5.4 MB at
-    DEFAULT_DIM_CAP) in four slots, which hold index arrays and never values.
-    A dynamics run repeats a few patterns: 8 partitions serve the 117 spectra
+    rows and cols broadcast to values' shape, and the map is one to one.
+    Returns (v, stacks): v lists the nonzero values and then one exact zero;
+    each read-only stack (count_k, r_k, c_k) holds count_k blocks of one
+    shape, each row and column of a block in ascending target order, so
+    v[stack] is every block of that shape at once, a target zero read as
+    the trailing zero.  Memoized on the exact target positions of the
+    nonzeros in four slots, which hold index arrays and never values.  A
+    dynamics run repeats a few patterns: 8 partitions serve the 117 spectra
     of SU(3) at L = 6, whose rows each read a PT, a rho and a realignment.
     """
-    return _blocks(a.shape, np.packbits(a != 0).tobytes(), hermitian)
+    i, j = np.nonzero(values)
+    at = (np.broadcast_to(rows, values.shape)[i, j] * shape[1]
+          + np.broadcast_to(cols, values.shape)[i, j])
+    return np.append(values[i, j], 0), _blocks(shape, at.tobytes(), hermitian)
+
+
+def _eigvalsh(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The n x n Hermitian target's eigenvalues (see _partition), all n, ascending.
+
+    All blocks of one size go to one stacked eigvalsh call, which runs the
+    same LAPACK routine on each block as a call per block would, bit for
+    bit.  Rows outside every block contribute exact zeros.
+    """
+    v, stacks = _partition(values, rows, cols, (n, n), hermitian=True)
+    vals = [np.linalg.eigvalsh(v[g]).ravel() for g in stacks]
+    placed = sum(w.size for w in vals)
+    return np.sort(np.concatenate([np.zeros(n - placed), *vals]))
+
+
+def _svdvals(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+             unit: bool = False) -> np.ndarray:
+    """The target's singular values (see _partition): all min(shape), descending, zero-padded.
+
+    All blocks of one shape go to one stacked SVD call.  A pattern that is
+    one block gets the SVD of the whole target, zero rows and columns
+    included: a product state is one block, and its S_OP is SVD round-off
+    that the pinned dynamics outputs (sweep 0) record.  unit divides by the
+    Frobenius norm first: the whole target's, or the values'.
+    """
+    v, stacks = _partition(values, rows, cols, shape, hermitian=False)
+    if sum(len(g) for g in stacks) == 1:
+        m = np.zeros(shape, dtype=values.dtype)
+        m[rows, cols] = values
+        return np.linalg.svd(m / np.linalg.norm(m) if unit else m, compute_uv=False)
+    if unit:
+        v = v / np.linalg.norm(values)
+    s = np.zeros(min(shape))
+    if stacks:
+        vals = np.concatenate([np.linalg.svd(v[g], compute_uv=False).ravel() for g in stacks])
+        s[:vals.size] = np.sort(vals)[::-1]
+    return s
 
 
 def block_eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(a), solved one connected block of a's nonzero pattern at a time.
 
-    The blocks are those of _partition(a, hermitian=True); all blocks of one
-    size go to one stacked eigvalsh call, which runs the same LAPACK routine
-    on each block as a call per block would, bit for bit.  All-zero rows
-    contribute exact zeros.  Blocks split only at exact zeros, so the
-    spectrum is the same as from one eigensolve of a, returned the same way:
-    all n values, ascending.
+    Blocks split only at exact zeros, so the spectrum is the same as from
+    one eigensolve of a, returned the same way: all n values, ascending.
     """
-    vals = [np.linalg.eigvalsh(a[r[:, :, None], c[:, None, :]]).ravel()
-            for r, c in _partition(a, hermitian=True)]
-    placed = sum(v.size for v in vals)
-    return np.sort(np.concatenate([np.zeros(a.shape[0] - placed), *vals]))
+    i = np.arange(len(a))
+    return _eigvalsh(a, i[:, None], i, len(a))
 
 
 def block_svdvals(m: np.ndarray) -> np.ndarray:
     """np.linalg.svd(m, compute_uv=False), one connected block of m's nonzero pattern at a time.
 
-    The blocks are those of _partition(m, hermitian=False); all blocks of one
-    shape go to one stacked SVD call (bit for bit a call per block, as in
-    block_eigvalsh).  Blocks split only at exact zeros, so
-    the values are the same as from one SVD of m, returned the same way: all
-    min(r, c) values, descending, zero-padded.  A pattern that is one block
-    gets the SVD of the whole m, zero rows and columns included, bit for bit:
-    a product state is one block, and its S_OP is SVD round-off that the
-    pinned dynamics outputs (sweep 0) record.
+    Blocks split only at exact zeros, so the values are the same as from one
+    SVD of m, returned the same way (see _svdvals).
     """
-    groups = _partition(m, hermitian=False)
-    if sum(len(r) for r, _ in groups) == 1:
-        return np.linalg.svd(m, compute_uv=False)
-    s = np.zeros(min(m.shape))
-    if groups:
-        vals = np.concatenate([np.linalg.svd(m[r[:, :, None], c[:, None, :]],
-                                             compute_uv=False).ravel() for r, c in groups])
-        s[:vals.size] = np.sort(vals)[::-1]
-    return s
+    return _svdvals(m, np.arange(m.shape[0])[:, None], np.arange(m.shape[1]), m.shape)
 
 
 def pt_eigenvalues(state: DenseState, cut: int) -> np.ndarray:
     """Eigenvalues of rho^T_B (Hermitian), tiny noise floored to zero."""
-    w = block_eigvalsh(partial_transpose(state, cut))
+    w = _eigvalsh(state.block, *_pt_targets(state, cut), state.dim)
     w[np.abs(w) < EIG_FLOOR] = 0.0
     return w
 
@@ -605,7 +696,8 @@ def rho_spectrum(state: DenseState) -> np.ndarray:
     rho is PSD; the floor keeps fractional powers from NaN (negatives) and
     from blowing up (sqrt of ~1e-13).
     """
-    lam = block_eigvalsh(state.matrix)
+    s = state.states
+    lam = _eigvalsh(state.block, s[:, None], s, state.dim)
     lam[lam < EIG_FLOOR] = 0.0
     return lam
 
@@ -641,12 +733,11 @@ def dense_generalized_renyi(state: DenseState, cut: int, n: float) -> float:
 
 
 def dense_ose(state: DenseState, cut: int) -> float:
-    """Von Neumann entropy of the vectorized, Frobenius-normalized state."""
-    dA, dB = _split_dims(state, cut)
-    r = state.matrix.reshape(dA, dB, dA, dB)
-    m = np.ascontiguousarray(r.transpose(0, 2, 1, 3)).reshape(dA * dA, dB * dB)
-    m = m / np.linalg.norm(m)
-    s = block_svdvals(m)
+    """Von Neumann entropy of the vectorized, Frobenius-normalized state.
+
+    The realigned matrix holds the block's entries, so the block's norm is its norm.
+    """
+    s = _svdvals(state.block, *_realigned_targets(state, cut), unit=True)
     p = s**2
     p = p[p > 1e-24]
     return float(-np.sum(p * np.log(p)))

@@ -42,7 +42,6 @@ from statent.oracle import (
     embed_local,
     iterate_with_trajectory,
     orbit_state,
-    partial_transpose,
     pf_pattern_census,
     pt_eigenvalues,
     reachable_states,
@@ -101,10 +100,12 @@ def test_too_large():
 
 
 def test_identity_is_fixed():
+    # the identity's block is the whole matrix: every basis state
     for fam, N, L in [(Family.SUN, 2, 4), (Family.TL, 3, 4), (Family.U1, 2, 4), (Family.PF, 3, 4)]:
         ks = build_kraus(fam, N, L)
         ident = np.eye(N**L) / N**L
-        assert np.max(np.abs(orc.apply_sweep(ident.copy(), ks) - ident)) <= 1e-15
+        steps = orc.sweep_steps(ks, np.arange(N**L), ident.dtype)
+        assert np.max(np.abs(orc.apply_sweep(ident.copy(), ks, steps) - ident)) <= 1e-15
 
 
 def test_su2_L4_fixed_point_is_maximally_mixed_singlet():
@@ -168,14 +169,15 @@ def test_pt_block_spectrum_multiset():
 
 
 def test_strong_symmetry_preserved_along_trajectory():
-    # U(1): <S^z_tot> constant under the sweep
+    # U(1): <S^z_tot> constant under the sweep, read on the block over S
     ks = build_kraus(Family.U1, 2, 6)
-    rho = singlet_product_state(Family.U1, 2, 6).matrix.copy()
-    sz = conserved_operators(Family.U1, 2, 6)[0]
+    S, rho = _seed_block(ks, singlet_product_state(Family.U1, 2, 6))
+    steps = orc.sweep_steps(ks, S, rho.dtype)
+    sz = conserved_operators(Family.U1, 2, 6)[0][np.ix_(S, S)]
     vals = []
     for _ in range(40):
         vals.append(float(np.trace(sz @ rho).real))
-        rho = orc.apply_sweep(rho, ks)
+        rho = orc.apply_sweep(rho, ks, steps)
     assert max(abs(v - vals[0]) for v in vals) <= 1e-9
     # TL(3): sector projectors (from the converged fixed point) conserved
     spec = CommutantSpec(Family.TL, 3, 4, 2)
@@ -183,11 +185,13 @@ def test_strong_symmetry_preserved_along_trajectory():
     fixed = stationary_state(spec)
     proj = fixed.matrix * singlet_dimension(spec)  # = Pi^0
     assert np.allclose(proj @ proj, proj, atol=1e-8)
-    rho = singlet_product_state(Family.TL, 3, 4).matrix.copy()
+    S, rho = _seed_block(ks, singlet_product_state(Family.TL, 3, 4))
+    steps = orc.sweep_steps(ks, S, rho.dtype)
+    proj = proj[np.ix_(S, S)]
     vals = []
     for _ in range(40):
         vals.append(float(np.trace(proj @ rho).real))
-        rho = orc.apply_sweep(rho, ks)
+        rho = orc.apply_sweep(rho, ks, steps)
     assert max(abs(v - vals[0]) for v in vals) <= 1e-9
 
 
@@ -268,8 +272,8 @@ SMALL_CHAINS = [(Family.SUN, 2, 6), (Family.SUN, 3, 6), (Family.U1, 2, 6),
 def test_reachable_set_holds_seed_and_is_closed(fam, N, L):
     ks = build_kraus(fam, N, L)
     rho0 = singlet_product_state(fam, N, L).matrix
-    S = reachable_states(ks, rho0)
     seed = np.flatnonzero(np.any(rho0 != 0, axis=1))
+    S = reachable_states(ks, seed)
     assert set(seed) <= set(S)
     outside = np.setdiff1d(np.arange(N**L), S)
     for ch in ks.channels:
@@ -282,8 +286,8 @@ def test_reachable_set_holds_seed_and_is_closed(fam, N, L):
 
 def test_reachable_set_sizes():
     def size(fam, N, L):
-        rho0 = singlet_product_state(fam, N, L).matrix
-        return len(reachable_states(build_kraus(fam, N, L), rho0))
+        rho0 = singlet_product_state(fam, N, L)
+        return len(reachable_states(build_kraus(fam, N, L), rho0.states))
 
     assert size(Family.SUN, 2, 8) == size(Family.U1, 2, 8) == math.comb(8, 4)
     assert size(Family.SUN, 3, 6) == math.factorial(6) // math.factorial(2) ** 3
@@ -317,12 +321,23 @@ def _full_space_sweep(rho, ks):
     return rho
 
 
+def _support(rho):
+    """The basis states on which the full matrix rho has a nonzero row or column."""
+    return np.flatnonzero(np.any(rho != 0, axis=0) | np.any(rho != 0, axis=1))
+
+
+def _seed_block(ks, rho0):
+    """The states S reachable from the seed, and the seed's block over them."""
+    S = reachable_states(ks, rho0.states)
+    return S, rho0.matrix[np.ix_(S, S)]
+
+
 def _sweep_seeds(fam, N, L):
     # the singlet seed, a complex Hermitian state on its reachable states, the
     # maximally mixed state and (U(1)) a 0.3/0.7 mix of Neel and its mirror
     ks = build_kraus(fam, N, L)
     seed = singlet_product_state(fam, N, L).matrix
-    S = reachable_states(ks, seed)
+    S = reachable_states(ks, _support(seed))
     a = np.random.default_rng(L).normal(size=(len(S), len(S), 2)) @ [1, 1j]
     herm = np.zeros(seed.shape, dtype=complex)
     herm[np.ix_(S, S)] = (a + a.conj().T) / 2
@@ -340,35 +355,44 @@ def _sweep_seeds(fam, N, L):
     (Family.TL, 4, 4), (Family.U1, 2, 6), (Family.U1, 2, 8), (Family.PF, 3, 4),
     (Family.PF, 3, 6)])
 def test_sweep_on_block_is_the_full_space_sweep(fam, N, L):
+    # S is found once, from the seed: it is the reachable set of every iterate
     ks, seeds = _sweep_seeds(fam, N, L)
     for seed in seeds:
-        want = got = seed
+        S = reachable_states(ks, _support(seed))
+        steps = orc.sweep_steps(ks, S, seed.dtype)
+        want, got = seed, seed[np.ix_(S, S)]
         for _ in range(6):
-            rho, kept = got, got.copy()
-            want, got = _full_space_sweep(want, ks), orc.apply_sweep(rho, ks)
-            assert np.array_equal(got, want) and got.dtype == want.dtype
-            assert np.array_equal(rho, kept)
-            S = reachable_states(ks, rho)
-            outside = np.ones(got.shape, dtype=bool)
+            block, kept = got, got.copy()
+            want, got = _full_space_sweep(want, ks), orc.apply_sweep(block, ks, steps)
+            assert np.array_equal(got, want[np.ix_(S, S)]) and got.dtype == want.dtype
+            assert np.array_equal(block, kept)
+            assert np.array_equal(reachable_states(ks, S[_support(got)]), S)
+            outside = np.ones(want.shape, dtype=bool)
             outside[np.ix_(S, S)] = False
-            assert not np.any(got[outside])
+            assert not np.any(want[outside])
 
 
 def test_sweep_maps_zero_to_zero():
     zero = np.zeros((3**4, 3**4))
-    got = orc.apply_sweep(zero, build_kraus(Family.TL, 3, 4))
+    ks = build_kraus(Family.TL, 3, 4)
+    got = orc.apply_sweep(zero, ks, orc.sweep_steps(ks, np.arange(3**4), zero.dtype))
     assert got.shape == zero.shape and not np.any(got)
 
 
 def test_trajectory_sweeps_through_the_module_global(monkeypatch):
-    # perfbench traces the sweep by replacing orc.apply_sweep: every sweep of
-    # a dynamics run must go through that name
+    # perfbench traces the sweep by replacing orc.apply_sweep and counts its
+    # bytes from the first argument's size: every sweep of a dynamics run must
+    # go through that name, with the m x m block first
     calls = []
     sweep = orc.apply_sweep
-    monkeypatch.setattr(orc, "apply_sweep", lambda rho, ks: calls.append(1) or sweep(rho, ks))
+    monkeypatch.setattr(orc, "apply_sweep", lambda block, ks, steps: calls.append(block.shape)
+                        or sweep(block, ks, steps))
     ks = build_kraus(Family.TL, 3, 4)
-    _, rows = iterate_with_trajectory(ks, singlet_product_state(Family.TL, 3, 4), 2)
+    rho0 = singlet_product_state(Family.TL, 3, 4)
+    _, rows = iterate_with_trajectory(ks, rho0, 2)
     assert len(calls) == len(rows) - 1 > 0
+    m = len(reachable_states(ks, rho0.states))
+    assert m < 3**4 and set(calls) == {(m, m)}
 
 
 def _plain_fixed_point(ks, rho0, tol=1e-12):
@@ -389,7 +413,7 @@ def test_fixed_point_matches_full_sweep(fam, N, L):
     rho0 = singlet_product_state(fam, N, L)
     got = channel_fixed_point(ks, rho0).matrix
     assert np.max(np.abs(got - _plain_fixed_point(ks, rho0))) <= 1e-13
-    S = reachable_states(ks, rho0.matrix)
+    S = reachable_states(ks, rho0.states)
     outside = np.ones(got.shape, dtype=bool)
     outside[np.ix_(S, S)] = False
     assert np.all(got[outside] == 0.0)
@@ -417,7 +441,8 @@ def test_orbit_state_matches_fixed_point(fam, N, L, LA):
     st = orbit_state(ks, rho0)
     st.validate()
     assert np.max(np.abs(st.matrix - channel_fixed_point(ks, rho0).matrix)) <= 1e-11
-    assert np.linalg.norm(orc.apply_sweep(st.matrix, ks) - st.matrix) <= 1e-12
+    steps = orc.sweep_steps(ks, st.states, st.block.dtype)
+    assert np.linalg.norm(orc.apply_sweep(st.block, ks, steps) - st.block) <= 1e-12
     # the orbit of a singlet seed spans the whole singlet sector: rho = Pi^0 / D_0
     D0 = singlet_dimension(CommutantSpec(fam, N, L, LA))
     lam = rho_spectrum(st)
@@ -516,6 +541,36 @@ def _loop_svdvals(m):
     return s
 
 
+def _cut_dims(state, cut):
+    return math.prod(state.site_dims[:cut]), math.prod(state.site_dims[cut:])
+
+
+def partial_transpose(state, cut):
+    """rho^T_B as a full N^L x N^L array: the reference route for the PT spectrum."""
+    dA, dB = _cut_dims(state, cut)
+    r = state.matrix.reshape(dA, dB, dA, dB)
+    return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(dA * dB, dA * dB)
+
+
+def _realigned(state, cut):
+    """The realigned (dA^2, dB^2) copy of the full matrix: the reference route for S_OP."""
+    dA, dB = _cut_dims(state, cut)
+    r = state.matrix.reshape(dA, dB, dA, dB)
+    return np.ascontiguousarray(r.transpose(0, 2, 1, 3)).reshape(dA * dA, dB * dB)
+
+
+def _full_route(state, cut):
+    """(PT spectrum, rho spectrum, S_OP) from full N^L x N^L arrays, floored as the oracle does."""
+    w = block_eigvalsh(partial_transpose(state, cut))
+    w[np.abs(w) < orc.EIG_FLOOR] = 0.0
+    lam = block_eigvalsh(state.matrix)
+    lam[lam < orc.EIG_FLOOR] = 0.0
+    m = _realigned(state, cut)
+    p = block_svdvals(m / np.linalg.norm(m))**2
+    p = p[p > 1e-24]
+    return w, lam, float(-np.sum(p * np.log(p)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(hst.lists(hst.integers(1, 6), max_size=4), hst.integers(1, 3), hst.integers(0, 4),
        hst.integers(0, 2**32 - 1))
@@ -569,6 +624,85 @@ def test_block_spectra_match_full_on_stationary_states(fam, N, L, LA):
     for a in (partial_transpose(st, LA), st.matrix):
         assert np.max(np.abs(block_eigvalsh(a) - np.linalg.eigvalsh(a))) <= 1e-13
         assert np.array_equal(block_eigvalsh(a), _loop_eigvalsh(a))
+
+
+@pytest.mark.parametrize("fam, N, L, LA", ORACLE_CONFIGS)
+def test_block_quantities_are_the_full_matrix_route(fam, N, L, LA):
+    # the index maps give the PT and rho spectra of the full arrays bit for
+    # bit; S_OP divides by the block's norm, whose sum runs in another order
+    st = stationary_state(CommutantSpec(fam, N, L, LA))
+    w, lam, sop = _full_route(st, LA)
+    assert np.array_equal(pt_eigenvalues(st, LA), w)
+    assert np.array_equal(rho_spectrum(st), lam)
+    assert dense_log_negativity(st, LA) == orc.log_negativity_from(w)
+    assert dense_renyi_negativity(st, LA, 3) == orc.renyi_negativity_from(w, lam, 3)
+    assert abs(dense_ose(st, LA) - sop) <= 1e-14 * abs(sop)
+
+
+@pytest.mark.parametrize("fam, N, L, cut", [
+    (Family.SUN, 3, 6, 3), (Family.TL, 3, 4, 2), (Family.U1, 2, 8, 4), (Family.PF, 3, 6, 2)])
+def test_trajectory_rows_are_the_full_matrix_route(fam, N, L, cut):
+    # every row of a dynamics run, replayed sweep by sweep on the block over
+    # the S found once, against spectra, S_OP and defect of the full matrix
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L)
+    _, rows = iterate_with_trajectory(ks, rho0, cut)
+    S, block = _seed_block(ks, rho0)
+    steps = orc.sweep_steps(ks, S, block.dtype)
+    prev = None
+    for k, row in enumerate(rows):
+        if k:
+            block = orc.apply_sweep(block, ks, steps)
+            assert np.array_equal(reachable_states(ks, S[_support(block)]), S)
+        st = DenseState(block, [N] * L, S)
+        w, lam, sop = _full_route(st, cut)
+        assert np.array_equal(pt_eigenvalues(st, cut), w)
+        assert np.array_equal(rho_spectrum(st), lam)
+        assert row["E_N"] == orc.log_negativity_from(w)
+        assert row["R3"] == orc.renyi_negativity_from(w, lam, 3)
+        if k:
+            assert abs(row["S_OP"] - sop) <= 1e-14 * abs(sop)
+            defect = np.linalg.norm(st.matrix - prev)
+            assert abs(row["defect"] - defect) <= 1e-14 * defect
+        else:  # one block: the full SVD's round-off, which the pinned outputs record
+            assert row["S_OP"] == sop
+        prev = st.matrix
+
+
+def test_same_pattern_other_values_get_their_own_spectra():
+    # the memo holds index maps only: a second block with the first one's
+    # nonzero pattern reuses its partition and still gets its own spectrum
+    st = stationary_state(CommutantSpec(Family.TL, 3, 6, 2))
+    c = np.random.default_rng(2).standard_normal(st.block.shape)
+    other = DenseState(np.where(st.block != 0, c + c.T, 0.0), st.site_dims, st.states)
+    orc._blocks.cache_clear()
+    got = []
+    for x, reused in ((st, 0), (other, 1)):
+        hits = orc._blocks.cache_info().hits
+        got.append(pt_eigenvalues(x, 2))
+        assert orc._blocks.cache_info().hits == hits + reused
+        assert np.array_equal(got[-1], _full_route(x, 2)[0])
+    assert not np.array_equal(*got)
+
+
+def test_oracle_cap_stays_below_one_full_array():
+    # PF(3) at L = 8 is N^L = 6561 = DEFAULT_DIM_CAP, m = 543: the stationary
+    # state and its five dense quantities never hold an N^L x N^L array
+    code = ("import tracemalloc; tracemalloc.start(); "
+            "from statent.commutants import CommutantSpec, Family; "
+            "import statent.oracle as orc; "
+            "st = orc.stationary_state(CommutantSpec(Family.PF, 3, 8, 4)); "
+            "w, lam = orc.pt_eigenvalues(st, 4), orc.rho_spectrum(st); "
+            "q = [orc.log_negativity_from(w), orc.renyi_negativity_from(w, lam, 3), "
+            "orc.renyi_negativity_from(w, lam, 4), orc.generalized_renyi_from(w, lam, 1.5), "
+            "orc.dense_ose(st, 4)]; "
+            "print(len(st.states), tracemalloc.get_traced_memory()[1])")
+    src = os.path.dirname(os.path.dirname(orc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    m, peak = map(int, out.stdout.split())
+    assert m == 543 and peak < 6561**2 * 8
 
 
 def _permuted_rect_blocks(rng, shapes, zero_rows, zero_cols):
@@ -627,10 +761,15 @@ def test_block_memo_is_bounded_and_read_only():
     assert info.maxsize == 4 and info.currsize == 4
     a = _permuted_blocks(rng, [2, 2, 3], 1)
     m = _permuted_rect_blocks(rng, [(2, 3), (2, 3), (1, 1)], 1, 1)
-    for rows, cols in orc._partition(a, hermitian=True) + orc._partition(m, hermitian=False):
-        assert not rows.flags.writeable and not cols.flags.writeable
+    stacks = []
+    for x, hermitian in ((a, True), (m, False)):
+        i, j = np.arange(x.shape[0]), np.arange(x.shape[1])
+        stacks += orc._partition(x, i[:, None], j, x.shape, hermitian)[1]
+    assert len(stacks) == 4
+    for gather in stacks:
+        assert not gather.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0
+            gather[0, 0, 0] = 0
 
 
 def test_block_svdvals_edge_cases():
@@ -695,11 +834,12 @@ def test_trajectory_rows_equal_dense_quantities(fam, N, L, cut):
     rho0 = singlet_product_state(fam, N, L)
     _, rows = iterate_with_trajectory(ks, rho0, cut, tol=1e-10)
     assert len(rows) > 5
-    rho = rho0.matrix
+    S, rho = _seed_block(ks, rho0)
+    steps = orc.sweep_steps(ks, S, rho.dtype)
     for k, row in enumerate(rows):
         if k:
-            rho = orc.apply_sweep(rho, ks)
-        st = DenseState(rho, [N] * L)
+            rho = orc.apply_sweep(rho, ks, steps)
+        st = DenseState(rho, [N] * L, S)
         assert row["E_N"] == dense_log_negativity(st, cut)
         assert row["R3"] == dense_renyi_negativity(st, cut, 3)
         assert row["S_OP"] == dense_ose(st, cut)
@@ -816,7 +956,11 @@ def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
         st = singlet_product_state(fam, N, L)
         psi = _reference_seed(fam, N, L)
         assert st.site_dims == [N] * L
-        assert st.matrix.tobytes() == np.outer(psi, psi).tobytes()
+        # held on psi's support: there its bytes, elsewhere exact zeros
+        s = np.flatnonzero(psi)
+        assert np.array_equal(st.states, s)
+        assert st.block.tobytes() == np.outer(psi[s], psi[s]).tobytes()
+        assert np.array_equal(st.matrix, np.outer(psi, psi))
         if fam in (Family.U1, Family.PF):
             lazy = KrausSet(N, L, [LocalChannel(sites, ops) for sites, ops in want])
             new = channel_fixed_point(build_kraus(fam, N, L), st).matrix
