@@ -395,14 +395,24 @@ class SUNIrreps(Irreps):
         """Upper estimate of the partitions of ell into at most N parts.
 
         The binomial formula alone undercounts once N nears ell (1 against
-        5604 at N = ell = 30), so the exact count from p(n, k) =
-        p(n, k - 1) + p(n - k, k), O(N ell), bounds it from below.
+        5604 at N = ell = 30), so the count from p(n, k) = p(n, k - 1) +
+        p(n - k, k) bounds it from below.  Round k is a running sum down
+        each residue class n mod k, one float64 cumsum over the rows of
+        p[:ell + 1] laid out k wide.  The count is exact below 2^53, which
+        covers every cap it is compared with; a count that overflows the
+        float reads as the largest float (the binomial term alone can read 0
+        there: N = 1000, ell = 10^5).
         """
-        p = [1] + [0] * ell  # p[n] = p(n, k) after round k
-        for k in range(1, min(N, ell) + 1):
-            for n in range(k, ell + 1):
-                p[n] += p[n - k]
-        return max(p[ell], math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
+        p = np.zeros(ell + 1)  # p[n] = p(n, k) after round k
+        p[0] = 1.0
+        with np.errstate(over="ignore"):
+            for k in range(1, min(N, ell) + 1):
+                full = (ell + 1) // k * k
+                rows = p[:full].reshape(-1, k)
+                np.cumsum(rows, axis=0, out=rows)
+                p[full:] += rows[-1, : ell + 1 - full]
+        count = int(min(p[ell], np.finfo(float).max))
+        return max(count, math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
 
     def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
         c = spec.L // spec.N

@@ -14,9 +14,9 @@ distribution; the negativities are its moments M(k) = E_p[d^k]:
 Both backends evaluate one table type, LogSectors: the log backend builds it
 as numpy arrays (chains up to L ~ 10^6), the exact backend from its exact
 rows, which the table keeps.  One evaluator computes log M(k); integer k
-over exact rows is summed exactly (integers for k >= 0, ratios over one
-common denominator for k < 0) with one final float log, so the Abelian
-families (all d = 1, M = 1) come out at exactly 0.0.
+over exact rows is summed exactly (integers for k >= 0, ratios merged
+pairwise into one Fraction for k < 0) with one final float log, so the
+Abelian families (all d = 1, M = 1) come out at exactly 0.0.
 """
 
 from __future__ import annotations
@@ -283,15 +283,18 @@ def su2_renyi3_closed(L: int) -> float:
 
 
 def sun_renyi3_half_chain(N: int, L: int) -> float:
-    """R_3 for SU(N) at half chain, any L = 0 mod 2N, in O(N^2 (N L)^2) time.
+    """R_3 for SU(N) at half chain, any L = 0 mod 2N, in O(N^2 L^2) time.
 
     The n=3 summand D_A D_B / d^2 = (L/2)!^2 sf(N)^2 / prod_i x_i!(a-x_i)!
     (x_i the shifted parts, a = L/N + N - 1) has no Vandermonde factor left,
     so the sum over strictly decreasing tuples with fixed total is the
     coefficient [z^M] e_N({C(a,x) z^x}), and the elementary symmetric
-    polynomial e_N follows from power sums via Newton's identities.  A direct
-    partition sweep is hopeless at the sizes the R_3 scaling study needs
-    (~10^9 partitions for N=5, L=3000); this takes milliseconds.
+    polynomial e_N follows from power sums via Newton's identities.  The
+    levels e_1..e_{N-1} are full convolutions, O(N^2 L^2) together; of e_N
+    only the coefficient M is formed, N dot products of at most N a / 2 + 1
+    terms.  A direct partition sweep is hopeless at the sizes the R_3
+    scaling study needs (~10^9 partitions for N=5, L=3000); this takes
+    milliseconds.
     """
     if L % (2 * N):
         raise ValueError(f"need L = 0 mod 2N, got L={L}, N={N}")
@@ -311,14 +314,26 @@ def sun_renyi3_half_chain(N: int, L: int) -> float:
         p[::i] = g**i
         ps.append(p)
     es: list[np.ndarray] = [np.ones(1)]
-    for k in range(1, N + 1):
+    for k in range(1, N):
         acc = np.zeros(k * a + 1)
         for i in range(1, k + 1):
             term = np.convolve(es[k - i], ps[i - 1])
             sgn = 1.0 if (i - 1) % 2 == 0 else -1.0
             acc[: term.size] += sgn * term
         es.append(acc / k)
-    T = float(es[N][M])
+    # e_N is read at M = N a / 2 only, where the shorter operand of each
+    # convolution overlaps the longer one fully: form np.convolve's output M
+    # alone, as numpy does (an in-order sum for a kernel of at most 11 taps,
+    # BLAS ddot for a longer one), so T keeps every bit
+    T = 0.0
+    for i in range(1, N + 1):
+        u, v = es[N - i], ps[i - 1]
+        if v.size > u.size:
+            u, v = v, u
+        x, y = u[M - v.size + 1: M + 1], v[::-1].copy()
+        term = float(np.cumsum(x * y)[-1] if y.size <= 11 else np.dot(x, y))
+        T += term if (i - 1) % 2 == 0 else -term
+    T /= N
     if T <= 0:
         raise ArithmeticError("convolution lost positivity; L too small for this path?")
 

@@ -5,7 +5,7 @@ either with exact integer/rational arithmetic (small chains) or in the log
 domain (large chains).  Counts are plain Python ints (arbitrary precision);
 this module adds a log-domain number type plus the handful of combinatorial
 primitives the sector enumerations need: binomials, exact q-integers for the
-exact sector rows, and ratio sums over one common denominator.  The log of a
+exact sector rows, and exact ratio sums reduced pairwise.  The log of a
 q-integer lives in the ballot table entry (commutants.BallotIrreps).
 
 Everything is a pure function of its arguments.  The memo tables (the
@@ -120,9 +120,19 @@ class LogReal:
 def sum_ratio_terms(terms: Sequence[tuple[int, int]]) -> Fraction:
     """Sum of num_i/den_i as one reduced Fraction (0 for no terms).
 
-    Every term is scaled onto the lcm of the denominators, which stays small
-    when they share factors (powers of the sector degeneracies d do), so one
-    integer sum and one reduction give the result.
+    Adjacent terms merge pairwise, level by level:
+    (n1, d1) + (n2, d2) = (n1 d2/g + n2 d1/g, d1/g d2) with g = gcd(d1, d2),
+    so each denominator is the lcm of its own run and most products stay
+    short, not one full-width division per term; one Fraction reduces the
+    last pair.
     """
-    den = math.lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+    level = list(terms) or [(0, 1)]
+    while len(level) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(level[::2], level[1::2]):
+            g = math.gcd(d1, d2)
+            merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return Fraction(*level[0])

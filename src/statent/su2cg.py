@@ -119,6 +119,8 @@ def _cg_two_j(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtR
         raise InvalidSpin("m must differ from j by an integer")
     if tJ > tj1 + tj2 or tJ < abs(tj1 - tj2) or (tj1 + tj2 + tJ) % 2:
         return SqrtRational.zero()
+    if tJ == 0:  # the singlet (-1)^(j1 - m1)/sqrt(2 j1 + 1), which the sum reduces to
+        return SqrtRational(-1 if (tj1 - tm1) // 2 % 2 else 1, Fraction(1, tj1 + 1))
 
     def f(tx: int) -> int:
         if tx % 2:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,10 +243,33 @@ def _per_element_sun_r3(N: int, L: int) -> float:
     return -(log_sum - log_D0)
 
 
-@pytest.mark.parametrize("N, L", [(3, 12), (3, 60), (4, 24), (5, 30), (3, 9000), (4, 12000),
-                                  (5, 15000)])
+# the fig4_sun3_r3 scan grid, shifted by up to two lattice steps of 6, and the
+# closed_forms benchmark's sun_r3 items with their seed shifts of 2N and 4N
+_SUN_R3_PINNED = ([(3, 96 * 2**j + 6 * s) for j in range(7) for s in (-2, -1, 0, 1, 2)]
+                  + [(N, 3000 * N + s * N) for N in (3, 4, 5) for s in (-4, -2, 0, 2, 4)])
+
+
+@pytest.mark.parametrize("N, L", [(3, 6), (3, 12), (3, 60), (4, 8), (4, 24), (5, 10), (5, 30)]
+                         + _SUN_R3_PINNED)
 def test_sun_r3_reads_the_per_element_lgamma_formula(N, L):
+    # the reference forms all of e_N; the evaluator only its coefficient M, bit for bit
     assert sun_renyi3_half_chain(N, L) == _per_element_sun_r3(N, L)
+
+
+def _lcm_sum_ratio_terms(terms):
+    """Every term scaled onto the lcm of all denominators: the reference sum."""
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
+@pytest.mark.parametrize("N, L", [(3, 508), (3, 512), (4, 508), (4, 512)])
+def test_exact_negative_moments_read_the_lcm_sum(monkeypatch, N, L):
+    spec = CommutantSpec(Family.TL, N, L, L // 2)
+    orders = dict(renyi_orders=(3, 5, 9), rtilde_orders=(0.5, 3.0, 4.0, 6.0), backend="exact")
+    rep = compute_report(spec, **orders)
+    monkeypatch.setattr(statent.entanglement, "sum_ratio_terms", _lcm_sum_ratio_terms)
+    ref = compute_report(spec, **orders)
+    assert rep.R == ref.R and rep.R_tilde == ref.R_tilde
 
 
 def test_compute_report_backends():
@@ -339,6 +363,26 @@ def test_sun_partition_estimate_covers_large_N():
     grid = [(3, 96), (3, 192), (3, 288), (4, 64), (4, 96), (4, 128)]
     assert {pick_backend(CommutantSpec(Family.SUN, N, L, L // 2)) for N, L in grid} == {"exact"}
     assert pick_backend(CommutantSpec(Family.SUN, 3, 576, 288)) == "log"
+
+
+def _partition_count_loop(N, ell):
+    """SUNIrreps.estimate as the O(N ell) integer loop over p(n, k)."""
+    p = [1] + [0] * ell
+    for k in range(1, min(N, ell) + 1):
+        for n in range(k, ell + 1):
+            p[n] += p[n - k]
+    return max(p[ell], math.comb(ell + N - 1, N - 1) // math.factorial(N - 1))
+
+
+def test_sun_partition_estimate_reads_the_integer_loop():
+    irreps = com.IRREPS[Family.SUN]
+    for N, ell in [(30, 30), (50, 50), (100, 100), (5, 5000), (5, 900), (3, 2829), (4, 416),
+                   (3, 12), (4, 9), (5, 20), (8, 8), (12, 10), (3, 0), (3, 1), (7, 3)]:
+        assert irreps.estimate(N, ell) == _partition_count_loop(N, ell), (N, ell)
+    # the binomial term wins past the float count; a count past the float range
+    # reads as the largest float, where the binomial term alone reads 0
+    assert irreps.estimate(50, 10**6) == math.comb(10**6 + 49, 49) // math.factorial(49)
+    assert irreps.estimate(1000, 10**5) == int(np.finfo(float).max) > com.SECTOR_ENUM_CAP
 
 
 def test_log_backend_reach_one_million():

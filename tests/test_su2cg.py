@@ -36,6 +36,33 @@ def test_singlet_cg_eq21_exact():
             assert cg_coefficient(0, lam, lam, m) == cg_singlet(lam, m)
 
 
+def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int) -> SqrtRational:
+    """<j1 m1; j2 m2 | J m1+m2> from the Racah single sum (doubled spins)."""
+    tM = tm1 + tm2
+    f = lambda tx: math.factorial(tx // 2)  # noqa: E731
+    pref = Fraction((tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(tj2 - tj1 + tJ)
+                    * f(tJ + tM) * f(tJ - tM) * f(tj1 + tm1) * f(tj1 - tm1)
+                    * f(tj2 + tm2) * f(tj2 - tm2), f(tj1 + tj2 + tJ + 2))
+    s = Fraction(0)
+    for k in range(tj1 + tj2 + 1):
+        args = (tj1 + tj2 - tJ - 2 * k, tj1 - tm1 - 2 * k, tj2 + tm2 - 2 * k,
+                tJ - tj2 + tm1 + 2 * k, tJ - tj1 - tm2 + 2 * k)
+        if min(args) >= 0:
+            s += Fraction(-1 if k % 2 else 1, math.factorial(k) * math.prod(map(f, args)))
+    return SqrtRational(1 if s > 0 else -1, s * s * pref)
+
+
+def test_singlet_shortcut_matches_the_racah_sum():
+    # J = 0 returns the closed form directly; it is the value the sum reduces to
+    for tj in range(0, 61):
+        for tm in range(-tj, tj + 1, 2):
+            assert su2cg._cg_two_j(tj, tm, tj, -tm, 0, 0) == _racah(tj, tm, tj, -tm, 0), (tj, tm)
+    # the local sum is the one cg_coefficient evaluates at J > 0
+    assert cg_coefficient(1, 1, 1, 1) == _racah(2, 2, 2, -2, 2)
+    assert cg_coefficient(2, 3, 2, 1) == _racah(6, 2, 4, -2, 4)
+    assert cg_coefficient(3, Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)) == _racah(5, 1, 3, -1, 6)
+
+
 def test_cg_selection_rules():
     assert cg_coefficient(3, 1, 1, 0).sign == 0
     assert cg_coefficient(0, 2, 1, 0).sign == 0
