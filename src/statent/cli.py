@@ -18,7 +18,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -348,16 +348,13 @@ def cmd_haar(cfg: RunConfig) -> int:
     curves: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for top in tops:
         L = top.L
-        fs, ms = [], []
-        for lam in range(0, top.lambda_max + 1):
-            mean, stderr = haar_average_negativity(replace(top, lambda_max=lam))
-            fs.append(lam / L)
-            ms.append(mean)
+        curve = haar_average_negativity(top)
+        for lam, (mean, stderr) in enumerate(curve):
             point_rows.append(
                 ["point", L, "", _fmt(lam / L), _fmt(mean), _fmt(stderr),
                  cfg.samples, cfg.seed, ""]
             )
-        curves[L] = (np.array(fs), np.array(ms))
+        curves[L] = (np.arange(len(curve)) / L, np.array([mean for mean, _ in curve]))
     cross_rows = []
     shared = np.linspace(0.0, 0.5, 201)
     for a, b in zip(Ls, Ls[1:]):

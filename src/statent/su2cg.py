@@ -102,6 +102,8 @@ def exact_sum(values: list[SqrtRational]) -> dict[int, Fraction]:
 
 
 def _as_two_j(x) -> int:
+    if isinstance(x, int):
+        return 2 * x
     two = Fraction(x) * 2
     if two.denominator != 1:
         raise InvalidSpin(f"{x} is not a half-integer")
@@ -122,36 +124,32 @@ def _cg_two_j(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtR
     if tJ == 0:  # the singlet (-1)^(j1 - m1)/sqrt(2 j1 + 1), which the sum reduces to
         return SqrtRational(-1 if (tj1 - tm1) // 2 % 2 else 1, Fraction(1, tj1 + 1))
 
-    def f(tx: int) -> int:
-        if tx % 2:
-            raise InvalidSpin("non-integer factorial argument")
-        return factorial(tx // 2)
-
-    pref = Fraction(
-        (tJ + 1)
-        * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ)
-        * f(tJ + tM) * f(tJ - tM)
-        * f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2),
-        f(tj1 + tj2 + tJ + 2),
-    )
-    k_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    k_hi = min(
-        (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    )
-    s = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            factorial(k)
-            * f(tj1 + tj2 - tJ - 2 * k)
-            * f(tj1 - tm1 - 2 * k)
-            * f(tj2 + tm2 - 2 * k)
-            * f(tJ - tj2 + tm1 + 2 * k)
-            * f(tJ - tj1 - tm2 + 2 * k)
-        )
-        s += Fraction(-1 if k % 2 else 1, den)
-    if s == 0:
+    # The Racah series s = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!) in
+    # integers: each term is the one before times (a-k)(b-k)(c-k) / ((k+1)(d+k+1)(e+k+1)),
+    # so s = (-1)^k_lo num / den, nested from the last term, over the common
+    # denominator den = k_hi! (a-k_lo)! (b-k_lo)! (c-k_lo)! (d+k_hi)! (e+k_hi)!.
+    # One Fraction reduces the radicand s^2 pref at the end.
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    k_lo, k_hi = max(0, -d, -e), min(a, b, c)
+    num, den = 1, 1
+    for k in range(k_hi - 1, k_lo - 1, -1):
+        u = (k + 1) * (d + k + 1) * (e + k + 1)
+        num = u * den - (a - k) * (b - k) * (c - k) * num
+        den *= u
+    if num == 0:
         return SqrtRational.zero()
-    return SqrtRational(1 if s > 0 else -1, s * s * pref)
+    den *= (factorial(k_lo) * factorial(a - k_lo) * factorial(b - k_lo) * factorial(c - k_lo)
+            * factorial(d + k_lo) * factorial(e + k_lo))
+    pref = (
+        (tJ + 1)
+        * factorial(a) * factorial((tj1 - tj2 + tJ) // 2) * factorial((tj2 - tj1 + tJ) // 2)
+        * factorial((tJ + tM) // 2) * factorial((tJ - tM) // 2)
+        * factorial((tj1 + tm1) // 2) * factorial(b) * factorial(c) * factorial((tj2 - tm2) // 2)
+    )
+    sign = -1 if (num < 0) != (k_lo % 2 == 1) else 1
+    radicand = Fraction(num * num * pref, den * den * factorial((tj1 + tj2 + tJ) // 2 + 1))
+    return SqrtRational(sign, radicand)
 
 
 def cg_coefficient(lambda_tot, lambda_a, lambda_b, m) -> SqrtRational:
@@ -180,11 +178,12 @@ def cg_singlet(lam, m) -> SqrtRational:
 
 @lru_cache(maxsize=None)
 def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
-    """(lam_a, lam_b, D_A D_B, c c^T) rows for one lambda_tot.
+    """(lam_a, lam_b, D_A D_B, c) rows for one lambda_tot.
 
     c is the float CG row c_m = <lam_a m; lam_b -m | lambda_tot 0>, and
     D_A D_B = su2_sector_dim(L_A, lam_a) * su2_sector_dim(L_B, lam_b) is the
-    block's (exact integer) multiplicity.
+    block's (exact integer) multiplicity.  The table holds rows, not c c^T,
+    so it grows with L^2 floats per lambda_tot rather than L^3.
     """
     L_B = L - L_A
     rows = []
@@ -197,7 +196,7 @@ def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
                 [cg_coefficient(lambda_tot, la, lb, m).to_float() for m in range(-mm, mm + 1)]
             )
             dims = su2_sector_dim(L_A, la) * su2_sector_dim(L_B, lb)
-            rows.append((la, lb, dims, np.outer(cs, cs)))
+            rows.append((la, lb, dims, cs))
     return tuple(rows)
 
 
@@ -213,20 +212,20 @@ def _trace_norms(L: int, L_A: int, ts: list[int], pref: np.ndarray) -> np.ndarra
     The CG rows of each (lam_a, lam_b) block are summed over ts in order, so
     the lambda_tot sum sits inside |.|, and the blocks are added to the
     totals in order of first appearance over ts.  One block is live at a
-    time, as a (rows x block size) matrix.  Each row gets the float
-    operations of a lone row: the products and sums are elementwise, and
-    np.sum over the last axis of a C-contiguous row is the same pairwise sum
-    as np.sum of the flat block.
+    time, as a (rows x block size) matrix, and its c c^T products are formed
+    when it is reached.  Each row gets the float operations of a lone row:
+    the products and sums are elementwise, and np.sum over the last axis of
+    a C-contiguous row is the same pairwise sum as np.sum of the flat block.
     """
     blocks: dict[tuple[int, int], list] = {}
     for j, t in enumerate(ts):
-        for la, lb, dims, cc in _cg_float_table(L, L_A, t):
-            blocks.setdefault((la, lb), [float(dims)]).append((j, cc.reshape(1, -1)))
+        for la, lb, dims, c in _cg_float_table(L, L_A, t):
+            blocks.setdefault((la, lb), [float(dims)]).append((j, c))
     total = np.zeros(pref.shape[0])
-    for dims, (j, cc), *rest in blocks.values():
-        w = pref[:, j:j + 1] * cc
-        for j, cc in rest:
-            w += pref[:, j:j + 1] * cc
+    for dims, (j, c), *rest in blocks.values():
+        w = pref[:, j:j + 1] * np.outer(c, c).ravel()
+        for j, c in rest:
+            w += pref[:, j:j + 1] * np.outer(c, c).ravel()
         total += dims * np.sum(np.abs(w), axis=1)
     return total
 
@@ -246,6 +245,9 @@ def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     """
     if L % 2 or L_A % 2 or (L - L_A) % 2:
         raise ValueError("need even L, L_A, L_B")
+    for t in p:
+        if not 0 <= t <= L // 2:
+            raise InvalidSpin(f"need 0 <= lambda_tot <= L/2 = {L // 2}, got {t}")
     _check_weights(p.values())
     pref = {t: w / su2_sector_dim(L, t) for t, w in p.items()}
     total = _trace_norms(L, L_A, list(pref), np.array([list(pref.values())]))
@@ -283,39 +285,47 @@ class HaarEnsembleSpec:
             raise Inadmissible(f"L={self.L}, lambda_max={self.lambda_max} leaves the float range")
 
 
-def _draw_weights(spec: HaarEnsembleSpec, index: int, dims: np.ndarray) -> np.ndarray:
-    # counter-based stream per draw: parallel and serial runs agree
+def _draw_gammas(spec: HaarEnsembleSpec, index: int, dims: np.ndarray) -> np.ndarray:
+    # counter-based stream per draw: parallel and serial runs agree.  Generator.gamma
+    # draws element by element, so the draw for a prefix of dims is a prefix of this one.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((spec.seed, index))))
-    gam = rng.gamma(shape=dims)
-    return gam / gam.sum()
+    return rng.gamma(shape=dims)
 
 
-def haar_average_negativity(spec: HaarEnsembleSpec) -> tuple[float, float]:
-    """(mean, stderr) of E_N over Haar-sampled sector-weight mixtures.
+def haar_average_negativity(spec: HaarEnsembleSpec) -> list[tuple[float, float]]:
+    """[(mean, stderr)] of E_N over Haar mixtures, for lambda_max' = 0..spec.lambda_max.
 
     A complex-Gaussian vector on the direct sum of m_tot=0 sectors puts
     Gamma(shape D_lambda) weight on sector lambda, so p is Dirichlet with
     concentrations D_lambda; the 2^L-dimensional vector itself is never
-    materialized.  All draws are evaluated together, one (lam_a, lam_b)
-    block at a time (see _trace_norms).  Each draw gets the same float
-    operations as its own negativity_fixed_lambda call, so the values and
-    the CLI output bytes are those of a loop over the draws.
+    materialized.  Draw i is one Gamma vector over sectors 0..lambda_max,
+    and the point lambda_max' normalizes its first lambda_max'+1 entries:
+    every point reads the same draws (common random numbers), and each
+    point's weights are those a draw over its own sectors would give.  All
+    draws of one point are evaluated together, one (lam_a, lam_b) block at a
+    time (see _trace_norms).  Each draw gets the same float operations as
+    its own negativity_fixed_lambda call, so the values and the CLI output
+    bytes are those of a loop over the draws.  lambda_max' = 0 is the
+    degenerate ensemble: every draw is the singlet stationary state.
     """
     spec.validate()
     L, L_A = spec.L, spec.cut()
+    curve = [(negativity_fixed_lambda(L, L_A, {0: 1.0}), 0.0)]
     if spec.lambda_max == 0:
-        # degenerate ensemble: every draw is the singlet stationary state
-        val = negativity_fixed_lambda(L, L_A, {0: 1.0})
-        return val, 0.0
+        return curve
     lams = list(range(spec.lambda_max + 1))
     dims = np.array([float(su2_sector_dim(L, t)) for t in lams])
-    P = np.array([_draw_weights(spec, i, dims) for i in range(spec.samples)])
-    for row in P:
-        _check_weights(row)
-    vals = np.array([math.log(x) for x in _trace_norms(L, L_A, lams, P / dims).tolist()])
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0
-    return mean, stderr
+    gams = [_draw_gammas(spec, i, dims) for i in range(spec.samples)]
+    for lam in lams[1:]:
+        P = np.array([g[:lam + 1] / g[:lam + 1].sum() for g in gams])
+        for row in P:
+            _check_weights(row)
+        norms = _trace_norms(L, L_A, lams[:lam + 1], P / dims[:lam + 1])
+        vals = np.array([math.log(x) for x in norms.tolist()])
+        mean = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0
+        curve.append((mean, stderr))
+    return curve
 
 
 def crossing_point(xs, curve_a, curve_b) -> float:

@@ -218,14 +218,12 @@ def test_criterion_07_pf_certification():
 def test_criterion_08_haar_ensemble():
     curves, ok, details = {}, True, []
     for L in (12, 16, 20):
-        fs, ms, ses = [], [], []
-        for lam in range(0, L // 2 + 1):
-            m, se = haar_average_negativity(
-                HaarEnsembleSpec(L=L, lambda_max=lam, samples=100, seed=20240814)
-            )
-            fs.append(lam / L)
-            ms.append(m)
-            ses.append(se)
+        curve = haar_average_negativity(
+            HaarEnsembleSpec(L=L, lambda_max=L // 2, samples=100, seed=20240814)
+        )
+        fs = [lam / L for lam in range(len(curve))]
+        ms = [m for m, _ in curve]
+        ses = [se for _, se in curve]
         curves[L] = (np.array(fs), np.array(ms))
         mono = all(
             ms[i + 1] < ms[i] + 2 * (ses[i] + ses[i + 1]) for i in range(len(ms) - 1)

@@ -542,7 +542,12 @@ def test_haar_reads_family_and_cut(cut, mean, capsys):
     assert run_cli(args + ["--family", "sun", "--N", "2"], capsys) == (0, out, "")
     spec = HaarEnsembleSpec(L=8, lambda_max=2, samples=3, seed=12345, L_A=cut)
     row = out.splitlines()[-1].split(",")
-    assert row[4] == mean == f"{haar_average_negativity(spec)[0]:.12g}"
+    curve = haar_average_negativity(spec)
+    assert row[4] == mean == f"{curve[-1][0]:.12g}"
+    # one point row per lambda_max' = 0..2, in the curve's order
+    points = [r.split(",") for r in out.splitlines()[1:] if r.startswith("point")]
+    assert [(p[3], p[4], p[5]) for p in points] == [
+        (f"{lam / 8:.12g}", f"{m:.12g}", f"{se:.12g}") for lam, (m, se) in enumerate(curve)]
 
 
 def test_haar_refuses_sector_dims_past_the_float_range(capsys):
