@@ -248,24 +248,30 @@ def _channel_superop(ch: LocalChannel) -> np.ndarray:
 
 
 def sweep_steps(kraus: KrausSet, states: np.ndarray, dtype) -> list[tuple]:
-    """Each KrausSet.plan step laid out on the block over `states`: (rows, cols, x, y).
+    """Each KrausSet.plan step laid out on the block over `states`: (at, x, y).
 
-    x is the zero-filled (d^2, nc^2) GEMM input: rows the local pair index,
-    columns the pairs of the nc contexts (states of the other sites) that
-    occur in `states`.  The block scatters to x[rows, cols], the same
-    positions every sweep, so x stays zero elsewhere; y takes S @ x.  Built
+    x is the (d, d, nc, nc) GEMM input, the local pair index then the pairs
+    of the nc contexts (states of the other sites) that occur in `states`;
+    read as (d^2, nc^2) it is the full-space step's input less its all-zero
+    columns.  at = (loc[:, None], loc, ci[:, None], ci) broadcasts to the
+    m x m positions the block scatters to: loc is each state's local index
+    and ci its context's.  y takes S @ x.  Every step's x and y are views of
+    one zero-filled input buffer and one output buffer, sized for the
+    largest step; apply_sweep leaves the input buffer zero again.  Built
     once per trajectory, for blocks of one dtype.
     """
     N, L = kraus.N, kraus.L
-    steps = []
+    layouts = []
     for sites, _ in kraus.plan:
         d = N ** len(sites)
         B = N ** (L - sites[0] - len(sites))
         loc = states // B % d
         ctx, ci, _, _ = _groups(states // (B * d) * B + states % B)
-        x = np.zeros((d * d, len(ctx) ** 2), dtype=dtype)
-        steps.append((loc[:, None] * d + loc, ci[:, None] * len(ctx) + ci, x, np.empty_like(x)))
-    return steps
+        layouts.append(((d, d, len(ctx), len(ctx)), (loc[:, None], loc, ci[:, None], ci)))
+    size = max(math.prod(shape) for shape, _ in layouts)
+    x, y = np.zeros(size, dtype=dtype), np.empty(size, dtype=dtype)
+    return [(at, x[:math.prod(shape)].reshape(shape), y[:math.prod(shape)].reshape(shape))
+            for shape, at in layouts]
 
 
 def apply_sweep(block: np.ndarray, kraus: KrausSet, steps: list[tuple]) -> np.ndarray:
@@ -274,11 +280,15 @@ def apply_sweep(block: np.ndarray, kraus: KrausSet, steps: list[tuple]) -> np.nd
     Runs on the block over the reachable states that `steps` lays out (see
     sweep_steps), bit for bit the full-space sweep there: each entry is the
     same dot product over the same inputs less exact zeros, and the reachable
-    set is closed, so the full-space result vanishes outside it.
+    set is closed, so the full-space result vanishes outside it.  Each step
+    zeroes the input entries it scattered, so the shared buffer is all zero
+    between steps.
     """
-    for (_, S), (rows, cols, x, y) in zip(kraus.plan, steps):
-        x[rows, cols] = block
-        block = np.matmul(S, x, out=y)[rows, cols]
+    for (_, S), (at, x, y) in zip(kraus.plan, steps):
+        x[at] = block
+        np.matmul(S, x.reshape(len(S), -1), out=y.reshape(len(S), -1))
+        block = y[at]
+        x[at] = 0
     return block
 
 
@@ -654,7 +664,9 @@ def _svdvals(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tupl
     if sum(len(g) for g in stacks) == 1:
         m = np.zeros(shape, dtype=values.dtype)
         m[rows, cols] = values
-        return np.linalg.svd(m / np.linalg.norm(m) if unit else m, compute_uv=False)
+        if unit:  # the entries of m / norm(m), without a second target-sized array
+            m[rows, cols] = values / np.linalg.norm(m)
+        return np.linalg.svd(m, compute_uv=False)
     if unit:
         v = v / np.linalg.norm(values)
     s = np.zeros(min(shape))

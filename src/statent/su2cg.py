@@ -110,7 +110,6 @@ def _as_two_j(x) -> int:
     return int(two)
 
 
-@lru_cache(maxsize=None)
 def _cg_two_j(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> SqrtRational:
     # Racah closed form; all arguments are doubled spins (exact integers).
     if tM != tm1 + tm2:
@@ -202,7 +201,7 @@ def _cg_float_table(L: int, L_A: int, lambda_tot: int) -> tuple:
 
 def _check_weights(weights) -> None:
     tot = math.fsum(weights)
-    if abs(tot - 1.0) > 1e-12:
+    if not abs(tot - 1.0) <= 1e-12:  # a NaN weight fails too
         raise WeightError(f"sector weights sum to {tot!r}, not 1")
 
 

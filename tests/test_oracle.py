@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from itertools import permutations
 
 import numpy as np
@@ -379,6 +380,25 @@ def test_sweep_maps_zero_to_zero():
     assert got.shape == zero.shape and not np.any(got)
 
 
+@pytest.mark.parametrize("fam, N, L", [(Family.U1, 2, 8), (Family.PF, 3, 4)])
+def test_sweep_leaves_its_shared_input_buffer_zero(fam, N, L):
+    # every step's x and y are views of one input and one output buffer; the
+    # plans mix bond and site steps of different shapes, so a scattered entry
+    # left behind would land in another step's GEMM input
+    ks, seeds = _sweep_seeds(fam, N, L)
+    for seed in seeds:
+        S = reachable_states(ks, _support(seed))
+        steps = orc.sweep_steps(ks, S, seed.dtype)
+        x, y = steps[0][1].base, steps[0][2].base
+        assert x is not y and all(s[1].base is x and s[2].base is y for s in steps)
+        assert len({s[1].shape for s in steps}) > 1
+        assert x.size == max(s[1].size for s in steps)
+        block = seed[np.ix_(S, S)]
+        for _ in range(4):
+            block = orc.apply_sweep(block, ks, steps)
+            assert np.any(block) and not np.any(x)
+
+
 def test_trajectory_sweeps_through_the_module_global(monkeypatch):
     # perfbench traces the sweep by replacing orc.apply_sweep and counts its
     # bytes from the first argument's size: every sweep of a dynamics run must
@@ -705,6 +725,29 @@ def test_oracle_cap_stays_below_one_full_array():
     assert m == 543 and peak < 6561**2 * 8
 
 
+@pytest.mark.parametrize("fam, N, L, cut, cap_mib", [
+    # tracemalloc peaks: one GEMM input and output per plan step read 147.5
+    # MiB (U(1)) and 27.3 MiB (SU(3)); one shared pair sized for the largest
+    # step reads 18.2 and 8.3 MiB
+    (Family.U1, 2, 10, 5, 32), (Family.SUN, 3, 6, 3, 12)])
+def test_trajectory_memory(fam, N, L, cut, cap_mib):
+    code = textwrap.dedent(f"""
+        import tracemalloc
+        import statent.oracle as orc
+        from statent.commutants import Family
+        ks = orc.build_kraus(Family.{fam.name}, {N}, {L})
+        rho0 = orc.singlet_product_state(Family.{fam.name}, {N}, {L})
+        tracemalloc.start()
+        orc.iterate_with_trajectory(ks, rho0, {cut}, tol=1.0)
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    src = os.path.dirname(os.path.dirname(orc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= cap_mib * 2**20
+
+
 def _permuted_rect_blocks(rng, shapes, zero_rows, zero_cols):
     """A random rectangular block-diagonal matrix with its rows and columns shuffled."""
     a = np.zeros((sum(r for r, _ in shapes) + zero_rows, sum(c for _, c in shapes) + zero_cols))
@@ -802,6 +845,22 @@ def test_block_svdvals_one_block_is_the_full_svd():
     rho0 = singlet_product_state(Family.SUN, 3, 6)
     r = rho0.matrix.reshape(27, 27, 27, 27).transpose(0, 2, 1, 3).reshape(729, 729)
     assert np.array_equal(block_svdvals(r), np.linalg.svd(r, compute_uv=False))
+
+
+@pytest.mark.parametrize("fam, N, L, cut", [(Family.SUN, 3, 6, 3), (Family.TL, 3, 4, 2)])
+def test_sweep_zero_ose_is_the_full_target_svd(fam, N, L, cut):
+    # the fig7 dynamics states at sweep 0, products whose realignment is one
+    # block; their S_OP (4.44e-16 for SU(3), -8.88e-16 for TL(3)) is the
+    # round-off of the SVD of the whole unit-norm target, which an SVD of the
+    # compact block alone does not reproduce for TL(3) (-4.44e-16)
+    ks = build_kraus(fam, N, L)
+    rho0 = singlet_product_state(fam, N, L)
+    _, rows = iterate_with_trajectory(ks, rho0, cut, tol=1.0)
+    dA, dB = N**cut, N**(L - cut)
+    m = rho0.matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    p = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)**2
+    p = p[p > 1e-24]
+    assert rows[0]["S_OP"] == dense_ose(rho0, cut) == float(-np.sum(p * np.log(p)))
 
 
 @pytest.mark.parametrize("fam, N, L, LA", ORACLE_CONFIGS)

@@ -155,6 +155,13 @@ def test_weight_error():
         negativity_fixed_lambda(8, 4, {0: 0.7, 1: 0.2})
 
 
+@pytest.mark.parametrize("p", [{0: math.nan}, {0: 1.0, 1: math.nan}], ids=["alone", "mixed"])
+def test_nan_weight_is_a_weight_error(p):
+    # the weights' sum is NaN, which no tolerance comparison reads as close to 1
+    with pytest.raises(WeightError, match="nan"):
+        negativity_fixed_lambda(8, 4, p)
+
+
 @pytest.mark.parametrize("t", [5, -1])
 def test_out_of_range_sector_is_an_invalid_spin(t):
     with pytest.raises(InvalidSpin, match=r"0 <= lambda_tot <= L/2 = 4, got "):
