@@ -13,6 +13,19 @@ them once, in one table entry (IRREPS), as exact ints and as float64 logs:
 SU(2) is TL(2) at q = 1 (spins with ballot-number dimensions), so it reads
 the TL entry.  The readers -- exact sector rows, log-domain sector arrays
 for chains far beyond exact reach, the commutant bounds -- are family-blind.
+
+U(1) and the ballot entry evaluate log D one label at a time
+(OneLabelIrreps), so their log tables hold a window, not every label: each
+summand of the log backend (the weight p for D_0 and S_OP, and each moment
+p d^k) is summed only where it is within UNDERFLOW_MARGIN of its maximum,
+past which exp gives exactly 0.0.  The window is complete because each such
+summand has a single peak in the label: U(1)'s p is hypergeometric, hence
+log-concave, and with d = 1 every moment shares its window; on the ballot
+entry log D_A + log D_B is concave in lambda, k >= 0 adds k log d with log d
+concave (log(2 lambda + 1), log [2 lambda + 1]_q), a k < 0 keeps the summand
+concave for TL with |k| < 2 / log q and SU(2) with k >= -2, and every other
+k < 0 gives a summand decreasing from lambda = 0.  PF (D a prefix sum over
+every label) and SU(N >= 3) (one label is N parts) keep the full table.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +62,9 @@ class TooManySectors(ValueError):
 
 SECTOR_ENUM_CAP = 2_000_000
 LOG_TABLE_CAP = 50_000_000  # log_factorials entries: 400 MB, a half-chain L of about 10^8
+# exp(x) rounds to 0.0 below half the least subnormal, x < log(2^-1075) = -745.13; a
+# log-sum-exp term more than 746 below the maximum is an exact zero of the sum
+UNDERFLOW_MARGIN = 746.0
 
 
 @dataclass(frozen=True)
@@ -239,18 +255,24 @@ def log_pf_sector_dims(N: int, L: int, lgf: np.ndarray | None = None) -> np.ndar
         raise ParityError(f"log PF sector dimensions need even L, got L={L}")
     i = np.arange(L // 2 + 1)
     out = np.full(L + 1, -np.inf)
-    out[L::-2] = np.logaddexp.accumulate(i * math.log(N - 1) + IRREPS[Family.TL].log_D(
-        N, L, L // 2 - i, log_factorials(L) if lgf is None else lgf))
+    lgf = log_factorials(L) if lgf is None else lgf
+    out[L::-2] = np.logaddexp.accumulate(
+        i * math.log(N - 1) + IRREPS[Family.TL].log_D(N, L, L // 2 - i, lgf.__getitem__))
     return out
+
+
+def _check_log_table(n: int) -> None:
+    """Raise TooManySectors if a log_factorials table to n is past LOG_TABLE_CAP."""
+    if n > LOG_TABLE_CAP:
+        raise TooManySectors(f"log_factorials({n}) exceeds LOG_TABLE_CAP = {LOG_TABLE_CAP}")
 
 
 def log_factorials(n: int) -> np.ndarray:
     """lgamma(j + 1) for j = 0..n, one math.lgamma per integer.
 
-    log_D gathers from it; each sector build makes its own and drops it.
+    log_D gathers from it; each full-table sector build makes its own and drops it.
     """
-    if n > LOG_TABLE_CAP:
-        raise TooManySectors(f"log_factorials({n}) exceeds LOG_TABLE_CAP = {LOG_TABLE_CAP}")
+    _check_log_table(n)
     return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
@@ -266,7 +288,9 @@ class Irreps:
 
     Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
     log flavour (log_pc_d, log_D: a label array; log_D gathers from lgf, a
-    log_factorials table of at least ell + N entries).  Defaults: pc = d = 1.
+    log_factorials table of at least ell + N entries, or on a OneLabelIrreps
+    reads log j! through lg, a function of an int or an int array: a gather
+    from such a table or one math.lgamma per index).  Defaults: pc = d = 1.
 
     The cut pairing covers L = 0 mod step and L_A, L_B = 0 mod half_step,
     (step, half_step) = steps(N), at every N >= 2 unless only_N is set.
@@ -292,7 +316,21 @@ class Irreps:
         return z, z
 
 
-class U1Irreps(Irreps):
+class OneLabelIrreps(Irreps):
+    """A family whose log D reads one label at a time and whose labels on L_A
+    that pair across the cut are one range (span), each with its dual on L_B
+    (default: itself).  sector_log_arrays builds its tables over windows."""
+
+    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
+        r = self.span(spec)
+        lab = np.arange(r.start, r.stop)
+        return lab, self.dual(spec, lab)
+
+    def dual(self, spec: CommutantSpec, lab: np.ndarray) -> np.ndarray:
+        return lab
+
+
+class U1Irreps(OneLabelIrreps):
     """Magnetization sectors, labelled by the down-spin count k: D = C(ell, k)."""
 
     only_N = 2  # spin-1/2
@@ -307,9 +345,11 @@ class U1Irreps(Irreps):
         """The number of labels on ell sites, without building them."""
         return ell + 1
 
-    def pair(self, spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
-        kA = np.arange(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
-        return kA, spec.L // 2 - kA  # M_A + M_B = 0
+    def span(self, spec: CommutantSpec) -> range:
+        return range(max(0, spec.L // 2 - spec.L_B), min(spec.L_A, spec.L // 2) + 1)
+
+    def dual(self, spec: CommutantSpec, kA: np.ndarray) -> np.ndarray:
+        return spec.L // 2 - kA  # M_A + M_B = 0
 
     def name(self, ell: int, k: int) -> Fraction:
         return Fraction(ell, 2) - k
@@ -317,11 +357,11 @@ class U1Irreps(Irreps):
     def D(self, N: int, ell: int, k: int) -> int:
         return binomial(ell, k)
 
-    def log_D(self, N: int, ell: int, k: np.ndarray, lgf: np.ndarray) -> np.ndarray:
-        return lgf[ell] - lgf[k] - lgf[ell::-1][k]  # lgf[ell - k], no index temporary
+    def log_D(self, N: int, ell: int, k: np.ndarray, lg) -> np.ndarray:
+        return lg(ell) - lg(k) - lg(ell - k)
 
 
-class BallotIrreps(Irreps):
+class BallotIrreps(OneLabelIrreps):
     """TL(N) spins lam = 0..ell/2, and SU(2) = TL(2) at q = 1.
 
     d = [2 lam + 1]_q for q + 1/q = N, and D is the ballot number (su2_sector_dim).
@@ -333,6 +373,9 @@ class BallotIrreps(Irreps):
     def estimate(self, N: int, ell: int) -> int:
         """The number of labels on ell sites, without building them."""
         return ell // 2 + 1
+
+    def span(self, spec: CommutantSpec) -> range:
+        return range(spec.L_min // 2 + 1)
 
     def pc_d(self, N: int, lam: int) -> tuple[int, int]:
         return 1, q_int_exact(2 * lam + 1, N)
@@ -346,9 +389,9 @@ class BallotIrreps(Irreps):
     def D(self, N: int, ell: int, lam: int) -> int:
         return su2_sector_dim(ell, lam)
 
-    def log_D(self, N: int, ell: int, lam: np.ndarray, lgf: np.ndarray) -> np.ndarray:
+    def log_D(self, N: int, ell: int, lam: np.ndarray, lg) -> np.ndarray:
         k = ell // 2 + lam
-        return (lgf[ell] - lgf[k] - lgf[ell::-1][k]
+        return (lg(ell) - lg(k) - lg(ell - k)
                 + np.log(2 * lam + 1.0) - np.log(ell // 2 + lam + 1.0))
 
 
@@ -373,7 +416,7 @@ class PFIrreps(Irreps):
         return pf_sector_dimension(N, ell, M)
 
     def log_D(self, N: int, ell: int, M: np.ndarray, lgf: np.ndarray) -> np.ndarray:
-        return log_pf_sector_dims(N, ell, lgf)[M]
+        return log_pf_sector_dims(N, ell, lgf)[M]  # a prefix sum over every label: the full table
 
 
 class SUNIrreps(Irreps):
@@ -497,7 +540,9 @@ class LogSectors:
     """Per-sector logs (pattern count, degeneracy, both bond dimensions) and log D_0.
 
     A table built from exact rows also keeps the rows and the integer D_0, so
-    integer moments can still be summed exactly.
+    integer moments can still be summed exactly.  A windowed table (spec and
+    labels set) holds the labels of the weight p's window; at(k) gives the
+    table of the moment p d^k's window.
     """
 
     log_pc: np.ndarray
@@ -507,6 +552,15 @@ class LogSectors:
     log_D0: float
     rows: Sequence[IrrepRecord] | None = None
     D0: int = 0
+    spec: CommutantSpec | None = None
+    labels: range | None = None
+
+    def at(self, k: float) -> "LogSectors":
+        """The table over every label where p d^k is nonzero in float64."""
+        if self.labels is None:
+            return self
+        w = _window(self.spec, k)
+        return self if w == self.labels else _window_table(self.spec, w, self.log_D0)
 
 
 def _lse(x: np.ndarray) -> float:
@@ -518,13 +572,100 @@ def _lse(x: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(y, out=y))))
 
 
+def _log_rows(spec: CommutantSpec, lab: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(log pc, log d, log D_A, log D_B) of a OneLabelIrreps on the labels lab of L_A.
+
+    log j! is one math.lgamma per index, bit for bit the log_factorials
+    entry; an index array that both halves read (all of them on a
+    half-chain cut) is evaluated once.
+    """
+    irr, N = spec.irreps, spec.N
+    read: dict[bytes, np.ndarray] = {}
+
+    def lg(j):
+        if np.ndim(j) == 0:
+            return math.lgamma(j + 1)
+        key = j.tobytes()
+        if key not in read:
+            read[key] = np.fromiter(map(math.lgamma, (j + 1).tolist()), float, len(j))
+        return read[key]
+
+    return (*irr.log_pc_d(N, lab), irr.log_D(N, spec.L_A, lab, lg),
+            irr.log_D(N, spec.L_B, irr.dual(spec, lab), lg))
+
+
+SEARCH_WAYS = 64  # labels a window search evaluates at once; no window depends on it
+
+
+def _grid(lo: int, hi: int) -> np.ndarray:
+    """SEARCH_WAYS labels from lo to hi, both included, strictly increasing
+    for hi - lo >= SEARCH_WAYS (a step above 1)."""
+    return np.linspace(lo, hi, SEARCH_WAYS).astype(np.int64)
+
+
+def _first_true(pred: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:
+    """The least i in [lo, hi] where pred holds, hi + 1 if none, for pred
+    false-then-true there."""
+    while hi - lo >= SEARCH_WAYS:
+        i = _grid(lo, hi)
+        t = pred(i)
+        if not t.any():
+            return hi + 1
+        j = int(np.argmax(t))
+        if j == 0:
+            return lo
+        lo, hi = int(i[j - 1]) + 1, int(i[j])
+    i = np.arange(lo, hi + 1)
+    t = pred(i)
+    return int(i[np.argmax(t)]) if t.any() else hi + 1
+
+
+def _window(spec: CommutantSpec, k: float) -> range:
+    """The labels of span where the summand p d^k is within UNDERFLOW_MARGIN of
+    its maximum, by a search over single-label evaluations.
+
+    The summand has a single peak (see the module docstring): find it, then
+    the first label on each side that falls more than the margin below it.
+    """
+    def f(lab: np.ndarray) -> np.ndarray:
+        log_pc, log_d, log_DA, log_DB = _log_rows(spec, lab)
+        return log_pc + log_DA + log_DB + k * log_d
+
+    r = spec.irreps.span(spec)
+    lo, hi = r.start, r.stop - 1
+    while hi - lo >= SEARCH_WAYS:  # the peak lies between the grid maximum's neighbours
+        i = _grid(lo, hi)
+        j = int(np.argmax(f(i)))
+        lo, hi = int(i[max(j - 1, 0)]), int(i[min(j + 1, SEARCH_WAYS - 1)])
+    v = f(np.arange(lo, hi + 1))
+    top, floor = lo + int(np.argmax(v)), float(np.max(v)) - UNDERFLOW_MARGIN
+    return range(_first_true(lambda i: f(i) >= floor, r.start, top),
+                 _first_true(lambda i: f(i) < floor, top, r.stop - 1))
+
+
+def _window_table(spec: CommutantSpec, labels: range,
+                  log_D0: float | None = None) -> LogSectors:
+    """The LogSectors of a OneLabelIrreps over one window of labels; log D_0
+    is summed over it unless given."""
+    log_pc, log_d, log_DA, log_DB = _log_rows(spec, np.arange(labels.start, labels.stop))
+    if log_D0 is None:
+        log_D0 = _lse(log_pc + log_DA + log_DB)
+    return LogSectors(log_pc, log_d, log_DA, log_DB, log_D0, spec=spec, labels=labels)
+
+
 def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     """Log-domain analogue of enumerate_sectors (float64 arrays).
 
-    Both halves read one log_factorials table, to ell + N - 1 for shifted SU(N) parts and built
-    before the labels so that LOG_TABLE_CAP refuses first; both are freed before log D_0 is summed.
+    A OneLabelIrreps table holds the window of the weight p (see LogSectors.at)
+    and calls one math.lgamma per log factorial it reads.  The others read one
+    log_factorials table for both halves, to ell + N - 1 for shifted SU(N) parts
+    and built before the labels; both are freed before log D_0 is summed.
+    LOG_TABLE_CAP refuses every family at the same sizes, before any label.
     """
     irr, N = spec.irreps, spec.N
+    if isinstance(irr, OneLabelIrreps):
+        _check_log_table(max(spec.L_A, spec.L_B) + N - 1)
+        return _window_table(spec, _window(spec, 0.0))
     lgf = log_factorials(max(spec.L_A, spec.L_B) + N - 1)
     lab_A, lab_B = irr.pair(spec)
     log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lgf), irr.log_D(N, spec.L_B, lab_B, lgf)

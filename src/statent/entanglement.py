@@ -15,8 +15,14 @@ Both backends evaluate one table type, LogSectors: the log backend builds it
 as numpy arrays (chains up to L ~ 10^6), the exact backend from its exact
 rows, which the table keeps.  One evaluator computes log M(k); integer k
 over exact rows is summed exactly (integers for k >= 0, ratios merged
-pairwise into one Fraction for k < 0) with one final float log, so the
-Abelian families (all d = 1, M = 1) come out at exactly 0.0.
+pairwise into one Fraction for k < 0) with one final float log, and exact
+rows that all have d = 1 (the Abelian families, M = 1) read exactly 0.0 at
+every k.  On the log backend U(1) and the ballot families (SU(2), TL) sum
+each summand -- p for D_0 and S_OP, p d^k for each moment -- over its own
+window of labels, outside which every term is an exact zero of the sum
+(commutants.UNDERFLOW_MARGIN; each summand has a single peak, which is why
+the window is complete), so a quantity never depends on which others a
+report asks for.  PF and SU(N >= 3) sum over every label.
 """
 
 from __future__ import annotations
@@ -69,29 +75,32 @@ def _exact_table(sectors: Sequence[IrrepRecord], D0: int) -> LogSectors:
 def _moments(ls: LogSectors) -> Ratio:
     """(k, c) -> log M(k) / c, log M(k) memoized on float(k) (R_3, Rt_4 share k = -2).
 
-    Integer k over exact rows is an exact sum while its terms d^|k| stay
-    within EXACT_MOMENT_BITS bits (|k| log2(max d) at most that, so all-d = 1
-    rows stay exact at any k), and M(k) == 1 gives exactly 0.0; every other
-    k is one log-sum-exp over the table.  The backends differ in one rule,
-    the sign of a zero quotient: over exact rows a zero log M(k) reads +0.0
-    at every order c, while the log backend keeps the plain quotient, -0.0
-    for c < 0.
+    Exact rows that all have d = 1 give M(k) = 1, exactly 0.0, at every real
+    k.  Otherwise integer k over exact rows is an exact sum while its terms
+    d^|k| stay within EXACT_MOMENT_BITS bits (|k| log2(max d) at most that);
+    every other k is one log-sum-exp over the table of p d^k's window
+    (LogSectors.at).  The backends differ in one rule, the sign of a zero
+    quotient: over exact rows a zero log M(k) reads +0.0 at every order c,
+    while the log backend keeps the plain quotient, -0.0 for c < 0.
     """
-    base = ls.log_pc + ls.log_DA + ls.log_DB
     exact = ls.rows is not None
+    unit_d = exact and not ls.log_d.any()
     log_max_d = float(np.max(ls.log_d))
 
     @functools.cache
     def log_moment(k: float) -> float:
+        if unit_d:
+            return 0.0
         if (not exact or not k.is_integer()
                 or abs(k) * log_max_d > EXACT_MOMENT_BITS * math.log(2.0)):
-            return _lse(base + k * ls.log_d) - ls.log_D0
+            t = ls.at(k)
+            return _lse(t.log_pc + t.log_DA + t.log_DB + k * t.log_d) - ls.log_D0
         k = int(k)
         if k >= 0:
             s = Fraction(sum(r.weight * r.d**k for r in ls.rows), ls.D0)
         else:
             s = sum_ratio_terms([(r.weight, r.d**-k) for r in ls.rows]) / ls.D0
-        return 0.0 if s == 1 else exact_log(s)
+        return exact_log(s)
 
     def ratio(k: float, c: float) -> float:
         log_m = log_moment(float(k))

@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import statent.commutants as com
 from statent.commutants import (
     IRREPS,
     CommutantSpec,
     Family,
     Inadmissible,
+    OneLabelIrreps,
     ParityError,
+    TooManySectors,
     commutant_dimension,
     enumerate_sectors,
     iter_sectors,
@@ -330,11 +333,63 @@ def test_log_D_is_the_per_element_lgamma_formula(family, N, L, L_A):
     spec = CommutantSpec(family, N, L, L_A)
     lab_A, lab_B = spec.irreps.pair(spec)
     ls = sector_log_arrays(spec)
-    for got, ell, lab in ((ls.log_DA, L_A, lab_A), (ls.log_DB, L - L_A, lab_B)):
-        want = _per_element_log_D(family, N, ell, lab)
-        assert got.dtype == want.dtype and np.array_equal(got, want), ell
-    assert ls.log_D0 == _lse(ls.log_pc + _per_element_log_D(family, N, L_A, lab_A)
-                             + _per_element_log_D(family, N, L - L_A, lab_B))
+    full_A = _per_element_log_D(family, N, L_A, lab_A)
+    full_B = _per_element_log_D(family, N, L - L_A, lab_B)
+    if not isinstance(spec.irreps, OneLabelIrreps):
+        for got, want in ((ls.log_DA, full_A), (ls.log_DB, full_B)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ls.log_D0 == _lse(ls.log_pc + full_A + full_B)
+        return
+    # a windowed table: the weight's window and each moment's hold every label whose
+    # summand is nonzero in float64, each with its per-element log D
+    log_pc, log_d = spec.irreps.log_pc_d(N, lab_A)
+
+    def kept_by(t):
+        kept = np.zeros(len(lab_A), dtype=bool)
+        kept[t.labels.start - lab_A[0]: t.labels.stop - lab_A[0]] = True
+        return kept
+
+    p = kept_by(ls)
+    assert ls.log_D0 == _lse(log_pc[p] + full_A[p] + full_B[p])
+    for k in (0.0, 1.0, 1.5, 0.5, -1.0, -2.0, -4.0):
+        t = ls.at(k)
+        kept = kept_by(t)
+        for got, want in ((t.log_DA, full_A), (t.log_DB, full_B), (t.log_d, log_d)):
+            assert got.dtype == want.dtype and np.array_equal(got, want[kept]), k
+        x = log_pc + full_A + full_B + k * log_d
+        assert np.all(np.exp(x[~kept] - x.max()) == 0.0), k
+
+
+def _full_summand(spec: CommutantSpec, k: float) -> np.ndarray:
+    """log(p d^k) + log D_0 on every paired label, one math.lgamma per element."""
+    lab_A, lab_B = spec.irreps.pair(spec)
+    log_pc, log_d = spec.irreps.log_pc_d(spec.N, lab_A)
+    return (log_pc + _per_element_log_D(spec.family, spec.N, spec.L_A, lab_A)
+            + _per_element_log_D(spec.family, spec.N, spec.L_B, lab_B) + k * log_d)
+
+
+@pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3),
+                                       (Family.TL, 4)])
+@pytest.mark.parametrize("L, L_A", [(64, 32), (1000, 300), (8192, 4096)])
+def test_windowed_summands_have_one_peak(family, N, L, L_A):
+    # the window search is complete only if every summand rises to one maximum and
+    # then falls: once a step goes down, none goes up again
+    spec = CommutantSpec(family, N, L, L_A)
+    for k in (1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0, -4.0, -10.0):
+        step = np.diff(_full_summand(spec, k))
+        down = np.flatnonzero(step < 0)
+        assert down.size == 0 or not np.any(step[down[0]:] > 0), k
+
+
+@pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3),
+                                       (Family.PF, 3), (Family.SUN, 3)])
+def test_log_table_cap_refuses_at_the_same_size(monkeypatch, family, N):
+    # windowed families read no log_factorials table, yet refuse where one would
+    # pass LOG_TABLE_CAP: max(L_A, L_B) + N - 1 entries, before any label
+    monkeypatch.setattr(com, "LOG_TABLE_CAP", 12 + N - 1)
+    sector_log_arrays(CommutantSpec(family, N, 24, 12))
+    with pytest.raises(TooManySectors, match="LOG_TABLE_CAP"):
+        sector_log_arrays(CommutantSpec(family, N, 36, 18))
 
 
 def test_lse_leaves_its_argument_unchanged():

@@ -66,6 +66,19 @@ def test_abelian_zero_exact():
             assert renyi_negativity(secs, D0, 3) == 0.0
 
 
+def test_abelian_reports_read_exactly_zero():
+    # all d = 1 makes M(k) = 1 at every real k; a non-integer k summed as a float
+    # log-sum-exp against the exact log D_0 would leave up to 1.4e-14 either sign
+    cases = [(Family.U1, 2, L, LA) for L in range(4, 513, 2) for LA in {L // 2, L // 4}]
+    cases += [(Family.PF, N, L, LA) for N in (3, 4) for L in range(4, 513, 4)
+              for LA in {L // 2, L // 4} if LA % 2 == 0]
+    for fam, N, L, LA in cases:
+        rep = compute_report(CommutantSpec(fam, N, L, LA), renyi_orders=(1, 2, 3, 4, 5),
+                             rtilde_orders=(0.5, 1.5, 2.5, 3.0, 6.0), backend="exact")
+        for v in (rep.E_N, *rep.R.values(), *rep.R_tilde.values()):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, (fam, N, L, LA)
+
+
 def test_renyi_n1_always_zero():
     for fam, N in [(Family.SUN, 2), (Family.TL, 3), (Family.SUN, 3)]:
         L = 12 if fam == Family.SUN and N == 3 else 8
@@ -415,14 +428,12 @@ def test_log_backend_reach_one_million():
     assert got["pf_S_OP"][0] <= got["pf_S_OP"][1]
 
 
-def test_u1_million_report_memory():
-    # tracemalloc's peak over the report: the shared log-factorial table is
-    # dropped before D_0 is summed and _lse exponentiates in place, so at most
-    # seven half-chain float arrays are alive at once (26.7 MiB); eight read 30.5
-    code = textwrap.dedent("""
+def _million_report_peak(family: Family, N: int) -> int:
+    """tracemalloc's peak over one L = 10^6 half-chain log report, in a fresh interpreter."""
+    code = textwrap.dedent(f"""
         import tracemalloc
         from statent import CommutantSpec, Family, compute_report
-        spec = CommutantSpec(Family.U1, 2, 10**6, 5 * 10**5)
+        spec = CommutantSpec(Family("{family.value}"), {N}, 10**6, 5 * 10**5)
         tracemalloc.start()
         compute_report(spec, backend="log")
         print(tracemalloc.get_traced_memory()[1])
@@ -431,7 +442,34 @@ def test_u1_million_report_memory():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) <= 30.5 * 2**20
+    return int(out.stdout)
+
+
+def test_u1_million_report_memory():
+    # the sums read a 19,311-label window, not all 500,001 sectors, so the peak is
+    # upper_bounds' walk over every label on the smaller half (11.9 MiB); a table
+    # over every sector would peak at 22.9
+    assert _million_report_peak(Family.U1, 2) <= 16 * 2**20
+
+
+@pytest.mark.parametrize("family, N", [(Family.SUN, 2), (Family.TL, 3)])
+def test_ballot_million_report_memory(family, N):
+    # each summand's window holds at most about 19k of 250,001 labels (7.9 and 9.8 MiB)
+    assert _million_report_peak(family, N) <= 16 * 2**20
+
+
+@pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3)])
+def test_million_report_orders_are_independent(family, N):
+    # every summand has a window of its own, so a value does not depend on which
+    # other orders a report asks for (one union window would change its sum)
+    spec = CommutantSpec(family, N, 10**6, 5 * 10**5)
+    rep = compute_report(spec, backend="log")
+    for n, v in rep.R.items():
+        assert compute_report(spec, renyi_orders=(n,), rtilde_orders=(),
+                              backend="log").R[n] == v, n
+    for n, v in rep.R_tilde.items():
+        assert compute_report(spec, renyi_orders=(), rtilde_orders=(n,),
+                              backend="log").R_tilde[n] == v, n
 
 
 def test_sun_report_refuses_too_many_partitions():

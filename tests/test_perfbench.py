@@ -106,3 +106,37 @@ def test_haar_bytes_match_reference(tmp_path):
 def test_haar_shifted_seed_bytes_match_reference(tmp_path, shift):
     # the other Haar seeds the benchmark can draw
     _sha256_matches_reference("fig3_haar_crossings", tmp_path, shift)
+
+
+SCAN_ITEMS = [v for config, (sub, _) in workloads.CLI_CONFIGS.items() if sub == "scan"
+              for v in workloads.item_variants({"op": "cli", "config": config, "shift": 0})]
+
+
+@pytest.mark.parametrize("item", SCAN_ITEMS, ids=workloads.item_key)
+def test_scan_bytes_match_reference(tmp_path, item):
+    # every scan grid the benchmark can draw; the log-backend points (L >= 1024)
+    # sum each quantity over its own window of sectors
+    _sha256_matches_reference(item["config"], tmp_path, item["shift"])
+
+
+def test_closed_forms_match_reference_to_1e_11():
+    # 100x tighter than the benchmark's REF_TOL: a change in summation order may
+    # move the last bits of a sum, never more
+    code = textwrap.dedent("""
+        import json, math, sys
+        sys.path[:0] = ["perfbench", "src"]
+        import checks, worker, workloads
+        worst = []
+        for item in workloads.nominal("closed_forms"):
+            for v in workloads.item_variants(item):
+                key = workloads.item_key(v)
+                got = dict(checks._leaves(worker.run_item(v)))
+                for name, want in checks._leaves(checks.reference()[key]):
+                    if not math.isclose(got[name], want, rel_tol=1e-11, abs_tol=1e-11):
+                        worst.append([key, name, got[name], want])
+        print(json.dumps(worst))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
