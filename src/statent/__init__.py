@@ -20,7 +20,7 @@ from .entanglement import (
     renyi_negativity,
     upper_bounds,
 )
-from .exactnum import LogReal, binomial, q_int
+from .exactnum import LogReal, binomial
 
 __all__ = [
     "CommutantSpec",
@@ -41,7 +41,6 @@ __all__ = [
     "upper_bounds",
     "LogReal",
     "binomial",
-    "q_int",
 ]
 
 __version__ = "0.1.0"

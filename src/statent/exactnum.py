@@ -39,24 +39,11 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def q_int(n: int, q: float) -> float:
-    """q-deformed integer [n]_q = (q^n - q^-n)/(q - q^-1), with [n]_1 = n.
-
-    The q = 1 case is an explicit branch (the generic expression is 0/0
-    there); q < 1 is rejected.
-    """
-    if q < 1.0:
-        raise DomainError(f"q_int needs q >= 1, got q={q}")
-    if q == 1.0:
-        return float(n)
-    return (q**n - q**-n) / (q - 1.0 / q)
-
-
 def tl_q(N: int) -> float:
     """Deformation parameter q solving q + 1/q = N (q >= 1).
 
-    N = 2 returns exactly 1.0, which selects the undeformed branch of
-    q_int everywhere downstream.
+    N = 2 returns exactly 1.0, which selects the undeformed branch
+    [n]_1 = n wherever the log q-integer is read (BallotIrreps.log_pc_d).
     """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")

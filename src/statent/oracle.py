@@ -247,6 +247,20 @@ def _channel_superop(ch: LocalChannel) -> np.ndarray:
     return sum(np.kron(K, K.conj()) for K in ch.ops)
 
 
+def _layout(kraus: KrausSet, sites: tuple[int, ...],
+            states: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """Where an operator on `sites` meets the basis states `states`: (d, loc, ci, nc).
+
+    loc is each state's local index (of d) and ci its context's (the states
+    of the other sites) among the nc contexts that occur in `states`.
+    """
+    N, L = kraus.N, kraus.L
+    d = N ** len(sites)
+    B = N ** (L - sites[0] - len(sites))
+    ctx, ci, _, _ = _groups(states // (B * d) * B + states % B)
+    return d, states // B % d, ci, len(ctx)
+
+
 def sweep_steps(kraus: KrausSet, states: np.ndarray, dtype) -> list[tuple]:
     """Each KrausSet.plan step laid out on the block over `states`: (at, x, y).
 
@@ -260,14 +274,10 @@ def sweep_steps(kraus: KrausSet, states: np.ndarray, dtype) -> list[tuple]:
     largest step; apply_sweep leaves the input buffer zero again.  Built
     once per trajectory, for blocks of one dtype.
     """
-    N, L = kraus.N, kraus.L
     layouts = []
     for sites, _ in kraus.plan:
-        d = N ** len(sites)
-        B = N ** (L - sites[0] - len(sites))
-        loc = states // B % d
-        ctx, ci, _, _ = _groups(states // (B * d) * B + states % B)
-        layouts.append(((d, d, len(ctx), len(ctx)), (loc[:, None], loc, ci[:, None], ci)))
+        d, loc, ci, nc = _layout(kraus, sites, states)
+        layouts.append(((d, d, nc, nc), (loc[:, None], loc, ci[:, None], ci)))
     size = max(math.prod(shape) for shape, _ in layouts)
     x, y = np.zeros(size, dtype=dtype), np.empty(size, dtype=dtype)
     return [(at, x[:math.prod(shape)].reshape(shape), y[:math.prod(shape)].reshape(shape))
@@ -330,21 +340,6 @@ def _reachable_block(kraus: KrausSet, rho0: DenseState) -> tuple[np.ndarray, np.
     return S, block
 
 
-def restrict_local(op: np.ndarray, sites: tuple[int, ...], states: np.ndarray,
-                   N: int, L: int) -> np.ndarray:
-    """embed_local(op, sites, N, L)[states][:, states], without the N^L x N^L embedding.
-
-    A diagonal op comes back as its 1-D diagonal: the sweep scales by it
-    elementwise, which gives the same floats as the matrix product.
-    """
-    B = N ** (L - sites[0] - len(sites))
-    loc = states // B % N ** len(sites)
-    rest = states - loc * B
-    if not np.any(op - np.diag(np.diagonal(op))):
-        return np.diagonal(op)[loc]
-    return np.where(rest[:, None] == rest[None, :], op[loc[:, None], loc[None, :]], 0)
-
-
 def _sweeps(sweep_map, rho: np.ndarray, tol: float, max_sweeps: int):
     """Yield (sweep, rho, defect) after each sweep_map(rho), up to the first defect <= tol.
 
@@ -372,17 +367,27 @@ def _sweeps(sweep_map, rho: np.ndarray, tol: float, max_sweeps: int):
     raise NoConvergence(f"no convergence within {max_sweeps} sweeps (defect {defect:.3e})")
 
 
-def _restricted_channels(kraus: KrausSet, S: np.ndarray) -> list[list[np.ndarray]]:
-    """Every channel's Kraus operators restricted to the basis states S (see restrict_local)."""
-    return [[restrict_local(K, ch.sites, S, kraus.N, kraus.L) for K in ch.ops]
-            for ch in kraus.channels]
+def _block_channels(kraus: KrausSet, S: np.ndarray) -> list[tuple]:
+    """Each channel's (ops, at, d, nc) on the basis states S: at = loc * nc + ci (see _layout)."""
+    layouts = [(ch.ops, *_layout(kraus, ch.sites, S)) for ch in kraus.channels]
+    return [(ops, loc * nc + ci, d, nc) for ops, d, loc, ci, nc in layouts]
 
 
-def _restricted_sweep(channels: list[list[np.ndarray]], r: np.ndarray) -> np.ndarray:
-    """One sweep of restricted channels: r -> sum_K K r K^dag, channel by channel in order."""
-    for ops in channels:
-        r = sum(K[:, None] * r * K.conj() if K.ndim == 1 else K @ r @ K.conj().T
-                for K in ops)
+def _apply(ops: list[np.ndarray], at: np.ndarray, d: int, nc: int,
+           r: np.ndarray) -> list[np.ndarray]:
+    """[K r for K in ops], each local K on r's rows laid out by at (see _block_channels):
+    scatter the rows once to (local index, context, column), one d x d GEMM per K, gather."""
+    x = np.zeros((d, nc * r.shape[1]), dtype=np.result_type(*ops, r))
+    x.reshape(-1, r.shape[1])[at] = r
+    return [(K @ x).reshape(-1, r.shape[1])[at] for K in ops]
+
+
+def _kraus_sweep(channels: list[tuple], r: np.ndarray) -> np.ndarray:
+    """One sweep on the block: r -> sum_K K r K^dag, channel by channel in order,
+    each K r K^dag as (K (K r)^dag)^dag."""
+    for ops, *lay in channels:
+        r = sum(_apply([K], *lay, t.conj().T)[0].conj().T
+                for K, t in zip(ops, _apply(ops, *lay, r)))
     return r
 
 
@@ -391,12 +396,13 @@ def channel_fixed_point(kraus: KrausSet, rho0: DenseState) -> DenseState:
 
     The sweep runs on the m x m block over the reachable basis states S (see
     reachable_states), applying each channel in order as rho -> sum_K K rho K^dag
-    with K restricted to S; the result is that block over S.  Takes any seed,
-    mixed ones included; orbit_state is the sweep-free route for a pure seed.
+    with K applied through its layout on S; the result is that block over S.
+    Takes any seed, mixed ones included; orbit_state is the sweep-free route
+    for a pure seed.
     """
     S, block = _reachable_block(kraus, rho0)
-    channels = _restricted_channels(kraus, S)
-    for _, block, _ in _sweeps(lambda r: _restricted_sweep(channels, r), block, 1e-12, 1_000_000):
+    channels = _block_channels(kraus, S)
+    for _, block, _ in _sweeps(lambda r: _kraus_sweep(channels, r), block, 1e-12, 1_000_000):
         pass
     return DenseState(block, list(rho0.site_dims), S)
 
@@ -416,20 +422,20 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     nothing or V spans all of S (P is then the identity on S).  Reads only the
     Kraus matrices, never sector data.  The result is the block over S.
 
-    One restricted sweep checks the result: NoConvergence if it moves the
+    One sweep (_kraus_sweep) checks the result: NoConvergence if it moves the
     state by more than tol (Frobenius norm).  Raises ValueError for a seed
     that is not rank one on S; channel_fixed_point takes mixed seeds.
     """
     S, seed = _reachable_block(kraus, rho0)
-    channels = _restricted_channels(kraus, S)
+    channels = _block_channels(kraus, S)
     i = int(np.argmax(np.diagonal(seed).real))
     psi = seed[:, i] / math.sqrt(seed[i, i].real)
     if np.linalg.norm(seed - np.outer(psi, psi.conj())) > 1e-12 * np.linalg.norm(seed):
         raise ValueError("orbit_state needs a pure seed; use channel_fixed_point")
-    ops = [K for ch in channels for K in ch[:-1]]  # the checking sweep applies every K
+    ops = [(ks[:-1], *lay) for ks, *lay in channels]  # the checking sweep applies every K
     V = new = psi[:, None] / np.linalg.norm(psi)
     while new.shape[1] and V.shape[1] < len(S):
-        W = np.concatenate([K[:, None] * new if K.ndim == 1 else K @ new for K in ops], axis=1)
+        W = np.concatenate([w for ks, *lay in ops for w in _apply(ks, *lay, new)], axis=1)
         for _ in range(2):
             W -= V @ (V.conj().T @ W)
         # W = R^T Q^T, so R^T has W's left singular vectors without W's wide right factor
@@ -441,7 +447,7 @@ def orbit_state(kraus: KrausSet, rho0: DenseState, tol: float = 1e-12) -> DenseS
     # a full-rank V V^T is the identity up to round-off; the exact one keeps the
     # zeros that split the block spectra (U(1) and PF orbits fill S)
     block = np.eye(len(S)) / rank if rank == len(S) else V @ V.conj().T / rank
-    defect = float(np.linalg.norm(_restricted_sweep(channels, block) - block))
+    defect = float(np.linalg.norm(_kraus_sweep(channels, block) - block))
     if not defect <= tol:
         raise NoConvergence(f"orbit state moves by {defect:.3e} in one sweep (tol {tol:.1e})")
     return DenseState(block, list(rho0.site_dims), S)

@@ -203,6 +203,9 @@ def _check_weights(weights) -> None:
     tot = math.fsum(weights)
     if not abs(tot - 1.0) <= 1e-12:  # a NaN weight fails too
         raise WeightError(f"sector weights sum to {tot!r}, not 1")
+    low = float(min(weights))
+    if low < 0:
+        raise WeightError(f"sector weights must be >= 0, got {low!r}")
 
 
 def _trace_norms(L: int, L_A: int, ts: list[int], pref: np.ndarray) -> np.ndarray:
@@ -244,6 +247,8 @@ def negativity_fixed_lambda(L: int, L_A: int, p: dict[int, float]) -> float:
     """
     if L % 2 or L_A % 2 or (L - L_A) % 2:
         raise ValueError("need even L, L_A, L_B")
+    if not 0 <= L_A <= L:
+        raise ValueError(f"cut L_A = {L_A} is outside 0 <= L_A <= L = {L}")
     for t in p:
         if not 0 <= t <= L // 2:
             raise InvalidSpin(f"need 0 <= lambda_tot <= L/2 = {L // 2}, got {t}")

@@ -5,16 +5,16 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import statent
+from statent.commutants import IRREPS, Family
 from statent.exactnum import (
-    DomainError,
     binomial,
     exact_log,
-    q_int,
     q_int_exact,
     sum_ratio_terms,
     tl_q,
@@ -54,26 +54,13 @@ def test_vandermonde_two_colors():
             assert s == binomial(2 * n, a)
 
 
-def test_q_int_limit_and_values():
-    assert q_int(3, 1.0) == 3.0
-    assert q_int(1, 2.0) == 1.0
-    q3 = tl_q(3)
-    assert abs(q_int(3, q3) - 8.0) < 1e-10  # the eight two-dot TL(3) states
-    with pytest.raises(DomainError):
-        q_int(3, 0.5)
-
-
-def test_q_int_continuity_near_one():
-    for n in (1, 3, 10, 50):
-        for eps in (1e-6, 1e-8):
-            assert abs(q_int(n, 1.0 + eps) - n) <= 10 * n * n * eps
-
-
 def test_q_int_exact_matches_float():
+    # the log q-integer that the log backend reads: d = [2 lam + 1]_q for TL(N)
+    lam = np.arange(12)
     for N in (2, 3, 4, 5):
-        q = tl_q(N)
-        for n in range(12):
-            assert abs(q_int_exact(n, N) - q_int(n, q)) < 1e-6 * max(1, q_int_exact(n, N))
+        _, log_d = IRREPS[Family.TL].log_pc_d(N, lam)
+        for n, x in zip((2 * lam + 1).tolist(), log_d.tolist()):
+            assert abs(q_int_exact(n, N) - math.exp(x)) <= 1e-12 * q_int_exact(n, N)
 
 
 def test_q_int_table_memory_linear():

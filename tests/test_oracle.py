@@ -46,7 +46,6 @@ from statent.oracle import (
     pf_pattern_census,
     pt_eigenvalues,
     reachable_states,
-    restrict_local,
     rho_spectrum,
     singlet_product_state,
     stack_reduce,
@@ -277,12 +276,12 @@ def test_reachable_set_holds_seed_and_is_closed(fam, N, L):
     S = reachable_states(ks, seed)
     assert set(seed) <= set(S)
     outside = np.setdiff1d(np.arange(N**L), S)
-    for ch in ks.channels:
+    for ch, (_, *lay) in zip(ks.channels, orc._block_channels(ks, S)):
         for K in ch.ops:
             Kf = embed_local(K, ch.sites, N, L)
             assert not np.any(Kf[np.ix_(outside, S)])
-            R = restrict_local(K, ch.sites, S, N, L)
-            assert np.array_equal(np.diag(R) if R.ndim == 1 else R, Kf[np.ix_(S, S)])
+            # K through its channel's layout on S is the embedded K's S x S block
+            assert np.array_equal(orc._apply([K], *lay, np.eye(len(S)))[0], Kf[np.ix_(S, S)])
 
 
 def test_reachable_set_sizes():
@@ -493,19 +492,31 @@ def test_orbit_state_sweep_check_catches_non_unital_channel():
         orbit_state(ks, DenseState(np.diag([0.0, 1.0]), [2]), tol=float("nan"))
 
 
-def test_oracle_certifies_su2_L10():
-    # N^L = 1024 with |S| = 252: one size above the criterion-01 grid
-    spec = CommutantSpec(Family.SUN, 2, 10, 4)
+def _certify_su2(L, LA, rank):
+    """The SU(2) stationary state has the given rank D_0, and its five dense
+    quantities at cut LA match the closed forms within the criterion-01 gate."""
+    spec = CommutantSpec(Family.SUN, 2, L, LA)
     st = stationary_state(spec)
     secs, D0 = enumerate_sectors(spec), singlet_dimension(spec)
+    assert D0 == rank == np.count_nonzero(rho_spectrum(st))
     pairs = [
-        (log_negativity(secs, D0), dense_log_negativity(st, 4)),
-        (renyi_negativity(secs, D0, 3), dense_renyi_negativity(st, 4, 3)),
-        (renyi_negativity(secs, D0, 4), dense_renyi_negativity(st, 4, 4)),
-        (generalized_renyi(secs, D0, 1.5), dense_generalized_renyi(st, 4, 1.5)),
-        (operator_space_entanglement(secs, D0), dense_ose(st, 4)),
+        (log_negativity(secs, D0), dense_log_negativity(st, LA)),
+        (renyi_negativity(secs, D0, 3), dense_renyi_negativity(st, LA, 3)),
+        (renyi_negativity(secs, D0, 4), dense_renyi_negativity(st, LA, 4)),
+        (generalized_renyi(secs, D0, 1.5), dense_generalized_renyi(st, LA, 1.5)),
+        (operator_space_entanglement(secs, D0), dense_ose(st, LA)),
     ]
     assert max(abs(a - b) for a, b in pairs) < 1e-8
+
+
+def test_oracle_certifies_su2_L10():
+    # N^L = 1024 with |S| = 252: one size above the criterion-01 grid
+    _certify_su2(10, 4, 42)
+
+
+def test_oracle_certifies_su2_L12():
+    # N^L = 4096 with |S| = 924, the largest SU(2) chain the README cites
+    _certify_su2(12, 6, 132)
 
 
 def _permuted_blocks(rng, sizes, zero_rows):
@@ -723,6 +734,8 @@ def test_oracle_cap_stays_below_one_full_array():
     assert out.returncode == 0, out.stderr
     m, peak = map(int, out.stdout.split())
     assert m == 543 and peak < 6561**2 * 8
+    # and no m x m array per Kraus operator: 162 MiB with dense restricted operators
+    assert peak <= 100 * 2**20
 
 
 @pytest.mark.parametrize("fam, N, L, cut, cap_mib", [

@@ -162,6 +162,19 @@ def test_nan_weight_is_a_weight_error(p):
         negativity_fixed_lambda(8, 4, p)
 
 
+def test_negative_weight_is_a_weight_error():
+    # the weights sum to 1, but rho would have negative eigenvalues
+    with pytest.raises(WeightError, match=">= 0, got -0.5"):
+        negativity_fixed_lambda(8, 4, {0: 1.5, 1: -0.5})
+    assert negativity_fixed_lambda(8, 4, {0: 1.0, 1: 0.0}) == negativity_fixed_lambda(8, 4, {0: 1.0})
+
+
+@pytest.mark.parametrize("L_A", [-2, 10])
+def test_cut_outside_the_chain_is_refused(L_A):
+    with pytest.raises(ValueError, match=f"cut L_A = {L_A} is outside"):
+        negativity_fixed_lambda(8, L_A, {0: 1.0})
+
+
 @pytest.mark.parametrize("t", [5, -1])
 def test_out_of_range_sector_is_an_invalid_spin(t):
     with pytest.raises(InvalidSpin, match=r"0 <= lambda_tot <= L/2 = 4, got "):
