@@ -1,7 +1,7 @@
-"""Asymptotic scaling laws and fitting utilities.
+"""Asymptotic scaling laws and their least-squares fit.
 
 The closed-form coefficients of the large-L laws (per family and quantity)
-live here, together with the least-squares helpers that compare exact scans
+live here, together with the least-squares fit that compares exact scans
 against them.  SU(N) coefficients are only known as brackets and are exposed
 as brackets, never as point estimates.
 """
@@ -187,34 +187,3 @@ def fit_scaling(points, form: str) -> FitResult:
     return FitResult(slope=slope, intercept=float(coef[1]), residual=resid,
                      window=(float(L[0]), float(L[-1])))
 
-
-def fit_general(points, columns) -> np.ndarray:
-    """Multi-term least squares: columns is a list of callables of L."""
-    pts = sorted(points)
-    L = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    A = np.column_stack([c(L) for c in columns])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return coef
-
-
-def sun_r3_derivatives(N: int, L_max: int, decades: float = 1.0,
-                       points: int = 8) -> list[tuple[float, float]]:
-    """(mid-L, dR3/dlogL) secants on a geometric grid up to L_max.
-
-    Uses the convolution evaluator, so L_max ~ 10^4 is cheap for N <= 5.
-    """
-    from .entanglement import sun_renyi3_half_chain
-
-    step = 2 * N
-    lo = max(step, int(L_max / 10**decades))
-    grid = np.unique(
-        (np.geomspace(lo, L_max, points) / step).round().astype(int) * step
-    )
-    grid = grid[grid >= step]
-    vals = [sun_renyi3_half_chain(N, int(L)) for L in grid]
-    out = []
-    for i in range(len(grid) - 1):
-        d = (vals[i + 1] - vals[i]) / (math.log(grid[i + 1]) - math.log(grid[i]))
-        out.append((math.sqrt(grid[i] * grid[i + 1]), d))
-    return out

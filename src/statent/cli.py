@@ -113,8 +113,11 @@ def _fmt(x: float) -> str:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise Inadmissible(f"cannot write output {cfg.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

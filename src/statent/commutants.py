@@ -244,20 +244,20 @@ def pf_sector_dimension(N: int, L: int, M: int) -> int:
     return total
 
 
-def log_pf_sector_dims(N: int, L: int, lgf: np.ndarray | None = None) -> np.ndarray:
+def log_pf_sector_dims(N: int, L: int, lg=None) -> np.ndarray:
     """log D_M^PF(N)(L) for M = 0..L (-inf off-parity), even L only.
 
     The prefix sum of pf_sector_dimension in the log domain; its ballot
-    numbers are the spin-(L/2 - i) ballot entry's log_D, read from lgf
-    (log_factorials to at least L; built here if not given).
+    numbers are the spin-(L/2 - i) ballot entry's log_D, reading log j!
+    through lg (see Irreps; a gather from log_factorials(L) if not given).
     """
     if L % 2:
         raise ParityError(f"log PF sector dimensions need even L, got L={L}")
     i = np.arange(L // 2 + 1)
     out = np.full(L + 1, -np.inf)
-    lgf = log_factorials(L) if lgf is None else lgf
+    lg = log_factorials(L).__getitem__ if lg is None else lg
     out[L::-2] = np.logaddexp.accumulate(
-        i * math.log(N - 1) + IRREPS[Family.TL].log_D(N, L, L // 2 - i, lgf.__getitem__))
+        i * math.log(N - 1) + IRREPS[Family.TL].log_D(N, L, L // 2 - i, lg))
     return out
 
 
@@ -287,10 +287,10 @@ class Irreps:
     count, degeneracy) and the dimension D on ell sites per label.
 
     Each fact has an exact flavour (pc_d, D: one label as Python ints) and a
-    log flavour (log_pc_d, log_D: a label array; log_D gathers from lgf, a
-    log_factorials table of at least ell + N entries, or on a OneLabelIrreps
-    reads log j! through lg, a function of an int or an int array: a gather
-    from such a table or one math.lgamma per index).  Defaults: pc = d = 1.
+    log flavour (log_pc_d, log_D: a label array; log_D reads log j! through
+    lg, a function of an int or an int array: a gather from a log_factorials
+    table of at least ell + N entries, or one math.lgamma per index).
+    Defaults: pc = d = 1.
 
     The cut pairing covers L = 0 mod step and L_A, L_B = 0 mod half_step,
     (step, half_step) = steps(N), at every N >= 2 unless only_N is set.
@@ -415,8 +415,8 @@ class PFIrreps(Irreps):
     def D(self, N: int, ell: int, M: int) -> int:
         return pf_sector_dimension(N, ell, M)
 
-    def log_D(self, N: int, ell: int, M: np.ndarray, lgf: np.ndarray) -> np.ndarray:
-        return log_pf_sector_dims(N, ell, lgf)[M]  # a prefix sum over every label: the full table
+    def log_D(self, N: int, ell: int, M: np.ndarray, lg) -> np.ndarray:
+        return log_pf_sector_dims(N, ell, lg)[M]  # a prefix sum over every label: the full table
 
 
 class SUNIrreps(Irreps):
@@ -475,9 +475,9 @@ class SUNIrreps(Irreps):
     def D(self, N: int, ell: int, lam: list[int]) -> int:
         return sun_irrep_dims(N, ell, lam)[1]
 
-    def log_D(self, N: int, ell: int, lam: np.ndarray, lgf: np.ndarray) -> np.ndarray:
+    def log_D(self, N: int, ell: int, lam: np.ndarray, lg) -> np.ndarray:
         t, lv = self.log_vandermonde(lam)
-        return lgf[ell] + lv - sum(lgf[col] for col in t.T)
+        return lg(ell) + lv - sum(lg(col) for col in t.T)
 
     def log_vandermonde(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shifted parts lam~_i = lam_i + N - i and log prod_{i<j}(lam~_i - lam~_j)."""
@@ -666,9 +666,9 @@ def sector_log_arrays(spec: CommutantSpec) -> LogSectors:
     if isinstance(irr, OneLabelIrreps):
         _check_log_table(max(spec.L_A, spec.L_B) + N - 1)
         return _window_table(spec, _window(spec, 0.0))
-    lgf = log_factorials(max(spec.L_A, spec.L_B) + N - 1)
+    lg = log_factorials(max(spec.L_A, spec.L_B) + N - 1).__getitem__
     lab_A, lab_B = irr.pair(spec)
-    log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lgf), irr.log_D(N, spec.L_B, lab_B, lgf)
+    log_DA, log_DB = irr.log_D(N, spec.L_A, lab_A, lg), irr.log_D(N, spec.L_B, lab_B, lg)
     log_pc, log_d = irr.log_pc_d(N, lab_A)
-    del lgf, lab_A, lab_B
+    del lg, lab_A, lab_B
     return LogSectors(log_pc, log_d, log_DA, log_DB, _lse(log_pc + log_DA + log_DB))

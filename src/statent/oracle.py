@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -73,13 +73,6 @@ class DenseState:
         return math.prod(self.site_dims)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The full N^L x N^L matrix, built on each call (a reference: no quantity reads it)."""
-        full = np.zeros((self.dim, self.dim), dtype=self.block.dtype)
-        full[np.ix_(self.states, self.states)] = self.block
-        return full
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.block).real)
 
@@ -89,7 +82,8 @@ class DenseState:
             raise ValueError("state is not Hermitian")
         if abs(self.trace - 1.0) > 1e-12:
             raise ValueError(f"trace is {self.trace}, not 1")
-        w = block_eigvalsh(b)  # the zeros outside the block change no minimum below 0
+        i = np.arange(len(b))  # the zeros outside the block change no minimum below 0
+        w = _eigvalsh(b, i[:, None], i, len(b))
         if w.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {w.min()}")
 
@@ -199,47 +193,6 @@ def build_kraus(family: Family, N: int, L: int, dim_cap: int = DEFAULT_DIM_CAP) 
     if defect > 1e-12:
         raise AssertionError(f"Kraus completeness defect {defect}")
     return ks
-
-
-def conserved_operators(family: Family, N: int, L: int) -> list[np.ndarray]:
-    """Known strong-symmetry generators to check [K, O] = 0 against.
-
-    U(1): S^z_tot.  SU(N): all global E_ab = sum_j |a><b|_j.  PF(N): the
-    staggered color charges sum_j (-1)^j |s><s|_j.  TL(N) has no simple
-    local closed form for its (Read-Saleur) conserved quantities; its
-    conservation is checked dynamically via sector projectors instead.
-    """
-    out = []
-    if family == Family.U1:
-        sz = np.diag([0.5, -0.5])
-        out.append(_site_sum(sz, N, L))
-    elif family == Family.SUN:
-        for a in range(N):
-            for b in range(N):
-                e = np.zeros((N, N))
-                e[a, b] = 1.0
-                out.append(_site_sum(e, N, L))
-    elif family == Family.PF:
-        for s in range(N - 1):
-            e = np.zeros((N, N))
-            e[s, s] = 1.0
-            out.append(_site_sum(e, N, L, staggered=True))
-    return out
-
-
-def _site_sum(op: np.ndarray, N: int, L: int, staggered: bool = False) -> np.ndarray:
-    total = np.zeros((N**L, N**L))
-    for j in range(L):
-        full = embed_local(op, (j,), N, L)
-        total += (-1.0) ** j * full if staggered else full
-    return total
-
-
-def embed_local(op: np.ndarray, sites: tuple[int, ...], N: int, L: int) -> np.ndarray:
-    """Dense embedding of a 1- or 2-site operator (contiguous sites)."""
-    j = sites[0]
-    w = len(sites)
-    return np.kron(np.kron(np.eye(N**j), op), np.eye(N ** (L - j - w)))
 
 
 def _channel_superop(ch: LocalChannel) -> np.ndarray:
@@ -682,25 +635,6 @@ def _svdvals(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tupl
     return s
 
 
-def block_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(a), solved one connected block of a's nonzero pattern at a time.
-
-    Blocks split only at exact zeros, so the spectrum is the same as from
-    one eigensolve of a, returned the same way: all n values, ascending.
-    """
-    i = np.arange(len(a))
-    return _eigvalsh(a, i[:, None], i, len(a))
-
-
-def block_svdvals(m: np.ndarray) -> np.ndarray:
-    """np.linalg.svd(m, compute_uv=False), one connected block of m's nonzero pattern at a time.
-
-    Blocks split only at exact zeros, so the values are the same as from one
-    SVD of m, returned the same way (see _svdvals).
-    """
-    return _svdvals(m, np.arange(m.shape[0])[:, None], np.arange(m.shape[1]), m.shape)
-
-
 def pt_eigenvalues(state: DenseState, cut: int) -> np.ndarray:
     """Eigenvalues of rho^T_B (Hermitian), tiny noise floored to zero."""
     w = _eigvalsh(state.block, *_pt_targets(state, cut), state.dim)
@@ -760,28 +694,3 @@ def dense_ose(state: DenseState, cut: int) -> float:
     p = p[p > 1e-24]
     return float(-np.sum(p * np.log(p)))
 
-
-# ---------------------------------------------------------------------------
-# pair-flip pattern census (certifies the closed-form sector counts)
-# ---------------------------------------------------------------------------
-
-def stack_reduce(word) -> tuple[int, ...]:
-    """Left-to-right pairing reduction: pop equal neighbors, push otherwise."""
-    stack: list[int] = []
-    for s in word:
-        if stack and stack[-1] == s:
-            stack.pop()
-        else:
-            stack.append(s)
-    return tuple(stack)
-
-
-def pf_pattern_census(N: int, L: int) -> dict[tuple[int, ...], int]:
-    """Histogram of dot patterns over every length-L product state (N^L <= 10^7)."""
-    if N**L > 10_000_000:
-        raise TooLarge(f"N^L = {N**L} exceeds cap 10000000")
-    counts: dict[tuple[int, ...], int] = {}
-    for word in product(range(N), repeat=L):
-        pat = stack_reduce(word)
-        counts[pat] = counts.get(pat, 0) + 1
-    return counts

@@ -40,25 +40,6 @@ class MultipleCrossings(ValueError):
     pass
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * f with f squarefree (trial division; factors stay small here)."""
-    s, f = 1, 1
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
-        d += 1 if d == 2 else 2
-    f *= m
-    return s, f
-
-
 @dataclass(frozen=True)
 class SqrtRational:
     """sign * sqrt(radicand) with radicand an exact non-negative Fraction."""
@@ -76,29 +57,8 @@ class SqrtRational:
             return SqrtRational.zero()
         return SqrtRational(s, self.radicand * other.radicand)
 
-    def canonical(self) -> tuple[Fraction, int]:
-        """(coefficient, squarefree kernel): value = coefficient*sqrt(kernel)."""
-        if self.sign == 0:
-            return Fraction(0), 1
-        num, den = self.radicand.numerator, self.radicand.denominator
-        sn, fn = _squarefree_split(num)
-        sd, fd = _squarefree_split(den)
-        # sqrt(num/den) = (sn/(sd*fd)) * sqrt(fn*fd)
-        return Fraction(self.sign * sn, sd * fd), fn * fd
-
     def to_float(self) -> float:
         return self.sign * math.sqrt(float(self.radicand))
-
-
-def exact_sum(values: list[SqrtRational]) -> dict[int, Fraction]:
-    """Exact sum grouped by squarefree kernel: {kernel: coefficient}."""
-    out: dict[int, Fraction] = {}
-    for v in values:
-        c, k = v.canonical()
-        if c == 0:
-            continue
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c != 0}
 
 
 def _as_two_j(x) -> int:
@@ -162,13 +122,6 @@ def cg_coefficient(lambda_tot, lambda_a, lambda_b, m) -> SqrtRational:
     tjb = _as_two_j(lambda_b)
     tm = _as_two_j(m)
     return _cg_two_j(tja, tm, tjb, -tm, tJ, 0)
-
-
-def cg_singlet(lam, m) -> SqrtRational:
-    """Reference value (-1)^(lambda-m)/sqrt(2 lambda + 1) for the singlet case."""
-    tl, tm = _as_two_j(lam), _as_two_j(m)
-    sign = 1 if ((tl - tm) // 2) % 2 == 0 else -1
-    return SqrtRational(sign, Fraction(1, tl + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ import pytest
 
 import statent.oracle as orc
 from statent.asymptotics import (
-    fit_general,
     fit_scaling,
-    sun_r3_derivatives,
     tl_linear_coefficient,
     tl_sqrt_coefficient,
 )
@@ -39,11 +37,11 @@ from statent.entanglement import (
 from statent.su2cg import (
     HaarEnsembleSpec,
     cg_coefficient,
-    cg_singlet,
     crossing_point,
-    exact_sum,
     haar_average_negativity,
 )
+
+from conftest import cg_singlet, exact_sum, fit_general, pf_pattern_census, sun_r3_derivatives
 
 
 def report(num, name, ok, detail=""):
@@ -189,7 +187,7 @@ def test_criterion_07_pf_certification():
     for N in (2, 3, 4, 5):
         L = 2
         while N**L <= 10**6:
-            census = orc.pf_pattern_census(N, L)
+            census = pf_pattern_census(N, L)
             by_len: dict[int, set] = {}
             for pat, cnt in census.items():
                 by_len.setdefault(len(pat), set()).add(cnt)

@@ -10,13 +10,14 @@ from statent.asymptotics import (
     Unsupported,
     fit_scaling,
     predicted_law,
-    sun_r3_derivatives,
     tl_linear_coefficient,
     tl_sqrt_coefficient,
 )
 from statent.commutants import CommutantSpec, Family
 from statent.entanglement import compute_report
 from statent.exactnum import DomainError, tl_q
+
+from conftest import sun_r3_derivatives
 
 
 def test_predicted_law_examples():

@@ -80,6 +80,18 @@ def test_bad_input_exit_2(args, capsys):
     assert err.count("\n") == 1 and err.startswith("inadmissible")
 
 
+@pytest.mark.parametrize("args", [
+    ["compute", "--family", "u1", "--L", "8"],  # which also prints its "computed in" line
+    ["scan", "--family", "su2", "--L-list", "8"],
+])
+def test_unwritable_output_exit_2(args, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(args + ["--output", path], capsys)
+    assert code == 2 and out == ""
+    assert [e for e in err.splitlines() if not e.startswith("computed in")] == [
+        f"inadmissible: cannot write output {path}: No such file or directory"]
+
+
 @pytest.mark.parametrize("grid", [
     ["--L-min", "8", "--L-max", "16", "--L-step", "0"],
     ["--L-min", "8", "--L-max", "16", "--L-step", "-2"],

@@ -29,9 +29,8 @@ from statent.commutants import (
 )
 from statent.commutants import _lse
 from statent.exactnum import factorial
-from statent.oracle import pf_pattern_census
 
-from conftest import spin_half_total_spin_squared
+from conftest import pf_pattern_census, spin_half_total_spin_squared
 
 
 def test_su2_singlet_dimension_against_nullspace():

@@ -31,27 +31,23 @@ from statent.oracle import (
     LocalChannel,
     NoConvergence,
     TooLarge,
-    block_eigvalsh,
-    block_svdvals,
     build_kraus,
     channel_fixed_point,
-    conserved_operators,
     dense_generalized_renyi,
     dense_log_negativity,
     dense_ose,
     dense_renyi_negativity,
-    embed_local,
     iterate_with_trajectory,
     orbit_state,
-    pf_pattern_census,
     pt_eigenvalues,
     reachable_states,
     rho_spectrum,
     singlet_product_state,
-    stack_reduce,
     stationary_state,
 )
 
+from conftest import (block_eigvalsh, block_svdvals, conserved_operators, embed_local,
+                      full_matrix, pf_pattern_census, stack_reduce)
 from test_acceptance import ORACLE_CONFIGS
 
 
@@ -111,14 +107,14 @@ def test_identity_is_fixed():
 def test_su2_L4_fixed_point_is_maximally_mixed_singlet():
     st = stationary_state(CommutantSpec(Family.SUN, 2, 4, 2))
     st.validate()
-    assert np.trace(st.matrix @ st.matrix).real == pytest.approx(0.5, abs=1e-10)
+    assert np.trace(full_matrix(st) @ full_matrix(st)).real == pytest.approx(0.5, abs=1e-10)
     # independent construction of Pi^0: projector onto the S_tot^2 null space
     from conftest import spin_half_total_spin_squared
 
     w, v = np.linalg.eigh(spin_half_total_spin_squared(4))
     null = v[:, np.abs(w) < 1e-9]
     pi0 = null @ null.conj().T
-    assert np.linalg.norm(st.matrix - pi0 / 2) <= 10 * 1e-12 + 1e-10
+    assert np.linalg.norm(full_matrix(st) - pi0 / 2) <= 10 * 1e-12 + 1e-10
     assert dense_log_negativity(st, 2) == pytest.approx(math.log(2), abs=1e-10)
     assert dense_renyi_negativity(st, 2, 3) == pytest.approx(math.log(9 / 5), abs=1e-10)
     assert dense_ose(st, 2) == pytest.approx(math.log(6), abs=1e-10)
@@ -183,7 +179,7 @@ def test_strong_symmetry_preserved_along_trajectory():
     spec = CommutantSpec(Family.TL, 3, 4, 2)
     ks = build_kraus(Family.TL, 3, 4)
     fixed = stationary_state(spec)
-    proj = fixed.matrix * singlet_dimension(spec)  # = Pi^0
+    proj = full_matrix(fixed) * singlet_dimension(spec)  # = Pi^0
     assert np.allclose(proj @ proj, proj, atol=1e-8)
     S, rho = _seed_block(ks, singlet_product_state(Family.TL, 3, 4))
     steps = orc.sweep_steps(ks, S, rho.dtype)
@@ -209,7 +205,7 @@ def test_fixed_point_independent_of_kraus_normalization():
         return ks
 
     rho0 = singlet_product_state(Family.U1, 2, 6)
-    states = [channel_fixed_point(ks, rho0).matrix
+    states = [full_matrix(channel_fixed_point(ks, rho0))
               for ks in (lazy(0.5), lazy(0.2), build_kraus(Family.U1, 2, 6))]
     for st in states[1:]:
         assert np.max(np.abs(st - states[0])) <= 1e-10
@@ -250,7 +246,7 @@ def test_singlet_product_states_are_singlets():
         spec = CommutantSpec(fam, N, L, LA)
         st = stationary_state(spec)
         D0 = singlet_dimension(spec)
-        assert np.trace(st.matrix @ st.matrix).real == pytest.approx(1.0 / D0, abs=1e-9)
+        assert np.trace(full_matrix(st) @ full_matrix(st)).real == pytest.approx(1.0 / D0, abs=1e-9)
 
 
 def test_dense_generalized_matches_closed_form():
@@ -271,7 +267,7 @@ SMALL_CHAINS = [(Family.SUN, 2, 6), (Family.SUN, 3, 6), (Family.U1, 2, 6),
 @pytest.mark.parametrize("fam, N, L", SMALL_CHAINS)
 def test_reachable_set_holds_seed_and_is_closed(fam, N, L):
     ks = build_kraus(fam, N, L)
-    rho0 = singlet_product_state(fam, N, L).matrix
+    rho0 = full_matrix(singlet_product_state(fam, N, L))
     seed = np.flatnonzero(np.any(rho0 != 0, axis=1))
     S = reachable_states(ks, seed)
     assert set(seed) <= set(S)
@@ -329,14 +325,14 @@ def _support(rho):
 def _seed_block(ks, rho0):
     """The states S reachable from the seed, and the seed's block over them."""
     S = reachable_states(ks, rho0.states)
-    return S, rho0.matrix[np.ix_(S, S)]
+    return S, full_matrix(rho0)[np.ix_(S, S)]
 
 
 def _sweep_seeds(fam, N, L):
     # the singlet seed, a complex Hermitian state on its reachable states, the
     # maximally mixed state and (U(1)) a 0.3/0.7 mix of Neel and its mirror
     ks = build_kraus(fam, N, L)
-    seed = singlet_product_state(fam, N, L).matrix
+    seed = full_matrix(singlet_product_state(fam, N, L))
     S = reachable_states(ks, _support(seed))
     a = np.random.default_rng(L).normal(size=(len(S), len(S), 2)) @ [1, 1j]
     herm = np.zeros(seed.shape, dtype=complex)
@@ -417,7 +413,7 @@ def test_trajectory_sweeps_through_the_module_global(monkeypatch):
 def _plain_fixed_point(ks, rho0, tol=1e-12):
     # the full-space reference: iterate the full-space sweep on the whole
     # N^L x N^L matrix, without reachable_states
-    rho = rho0.matrix
+    rho = full_matrix(rho0)
     while True:
         nxt = _full_space_sweep(rho, ks)
         defect = np.linalg.norm(nxt - rho)
@@ -430,7 +426,7 @@ def _plain_fixed_point(ks, rho0, tol=1e-12):
 def test_fixed_point_matches_full_sweep(fam, N, L):
     ks = build_kraus(fam, N, L)
     rho0 = singlet_product_state(fam, N, L)
-    got = channel_fixed_point(ks, rho0).matrix
+    got = full_matrix(channel_fixed_point(ks, rho0))
     assert np.max(np.abs(got - _plain_fixed_point(ks, rho0))) <= 1e-13
     S = reachable_states(ks, rho0.states)
     outside = np.ones(got.shape, dtype=bool)
@@ -442,12 +438,12 @@ def test_mixed_seed_reaches_same_fixed_point():
     L = 6
     ks = build_kraus(Family.U1, 2, L)
     neel = singlet_product_state(Family.U1, 2, L)
-    i = int(np.flatnonzero(np.diag(neel.matrix))[0])
+    i = int(np.flatnonzero(np.diag(full_matrix(neel)))[0])
     mirror = 2**L - 1 - i  # every spin flipped
-    mixed = np.array(neel.matrix) / 2
+    mixed = np.array(full_matrix(neel)) / 2
     mixed[mirror, mirror] = 0.5
-    a = channel_fixed_point(ks, neel).matrix
-    b = channel_fixed_point(ks, DenseState(mixed, [2] * L)).matrix
+    a = full_matrix(channel_fixed_point(ks, neel))
+    b = full_matrix(channel_fixed_point(ks, DenseState(mixed, [2] * L)))
     # both stop at a defect of 1e-12, so each sits within about
     # 1e-12 / (1 - contraction rate) of the exact fixed point
     assert np.max(np.abs(a - b)) <= 1e-10
@@ -459,7 +455,7 @@ def test_orbit_state_matches_fixed_point(fam, N, L, LA):
     rho0 = singlet_product_state(fam, N, L)
     st = orbit_state(ks, rho0)
     st.validate()
-    assert np.max(np.abs(st.matrix - channel_fixed_point(ks, rho0).matrix)) <= 1e-11
+    assert np.max(np.abs(full_matrix(st) - full_matrix(channel_fixed_point(ks, rho0)))) <= 1e-11
     steps = orc.sweep_steps(ks, st.states, st.block.dtype)
     assert np.linalg.norm(orc.apply_sweep(st.block, ks, steps) - st.block) <= 1e-12
     # the orbit of a singlet seed spans the whole singlet sector: rho = Pi^0 / D_0
@@ -472,8 +468,8 @@ def test_orbit_state_matches_fixed_point(fam, N, L, LA):
 def test_orbit_state_refuses_mixed_seed():
     L = 6
     neel = singlet_product_state(Family.U1, 2, L)
-    i = int(np.flatnonzero(np.diag(neel.matrix))[0])
-    mixed = np.array(neel.matrix) / 2
+    i = int(np.flatnonzero(np.diag(full_matrix(neel)))[0])
+    mixed = np.array(full_matrix(neel)) / 2
     mixed[2**L - 1 - i, 2**L - 1 - i] = 0.5  # the Neel state's mirror
     with pytest.raises(ValueError, match="pure seed"):
         orbit_state(build_kraus(Family.U1, 2, L), DenseState(mixed, [2] * L))
@@ -579,14 +575,14 @@ def _cut_dims(state, cut):
 def partial_transpose(state, cut):
     """rho^T_B as a full N^L x N^L array: the reference route for the PT spectrum."""
     dA, dB = _cut_dims(state, cut)
-    r = state.matrix.reshape(dA, dB, dA, dB)
+    r = full_matrix(state).reshape(dA, dB, dA, dB)
     return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(dA * dB, dA * dB)
 
 
 def _realigned(state, cut):
     """The realigned (dA^2, dB^2) copy of the full matrix: the reference route for S_OP."""
     dA, dB = _cut_dims(state, cut)
-    r = state.matrix.reshape(dA, dB, dA, dB)
+    r = full_matrix(state).reshape(dA, dB, dA, dB)
     return np.ascontiguousarray(r.transpose(0, 2, 1, 3)).reshape(dA * dA, dB * dB)
 
 
@@ -594,7 +590,7 @@ def _full_route(state, cut):
     """(PT spectrum, rho spectrum, S_OP) from full N^L x N^L arrays, floored as the oracle does."""
     w = block_eigvalsh(partial_transpose(state, cut))
     w[np.abs(w) < orc.EIG_FLOOR] = 0.0
-    lam = block_eigvalsh(state.matrix)
+    lam = block_eigvalsh(full_matrix(state))
     lam[lam < orc.EIG_FLOOR] = 0.0
     m = _realigned(state, cut)
     p = block_svdvals(m / np.linalg.norm(m))**2
@@ -652,7 +648,7 @@ def test_block_eigvalsh_solves_each_block_alone(monkeypatch):
 @pytest.mark.parametrize("fam, N, L, LA", ORACLE_CONFIGS)
 def test_block_spectra_match_full_on_stationary_states(fam, N, L, LA):
     st = stationary_state(CommutantSpec(fam, N, L, LA))
-    for a in (partial_transpose(st, LA), st.matrix):
+    for a in (partial_transpose(st, LA), full_matrix(st)):
         assert np.max(np.abs(block_eigvalsh(a) - np.linalg.eigvalsh(a))) <= 1e-13
         assert np.array_equal(block_eigvalsh(a), _loop_eigvalsh(a))
 
@@ -693,11 +689,11 @@ def test_trajectory_rows_are_the_full_matrix_route(fam, N, L, cut):
         assert row["R3"] == orc.renyi_negativity_from(w, lam, 3)
         if k:
             assert abs(row["S_OP"] - sop) <= 1e-14 * abs(sop)
-            defect = np.linalg.norm(st.matrix - prev)
+            defect = np.linalg.norm(full_matrix(st) - prev)
             assert abs(row["defect"] - defect) <= 1e-14 * defect
         else:  # one block: the full SVD's round-off, which the pinned outputs record
             assert row["S_OP"] == sop
-        prev = st.matrix
+        prev = full_matrix(st)
 
 
 def test_same_pattern_other_values_get_their_own_spectra():
@@ -856,7 +852,7 @@ def test_block_svdvals_one_block_is_the_full_svd():
     m = _permuted_rect_blocks(np.random.default_rng(3), [(5, 7)], 3, 2)
     assert np.array_equal(block_svdvals(m), np.linalg.svd(m, compute_uv=False))
     rho0 = singlet_product_state(Family.SUN, 3, 6)
-    r = rho0.matrix.reshape(27, 27, 27, 27).transpose(0, 2, 1, 3).reshape(729, 729)
+    r = full_matrix(rho0).reshape(27, 27, 27, 27).transpose(0, 2, 1, 3).reshape(729, 729)
     assert np.array_equal(block_svdvals(r), np.linalg.svd(r, compute_uv=False))
 
 
@@ -870,7 +866,7 @@ def test_sweep_zero_ose_is_the_full_target_svd(fam, N, L, cut):
     rho0 = singlet_product_state(fam, N, L)
     _, rows = iterate_with_trajectory(ks, rho0, cut, tol=1.0)
     dA, dB = N**cut, N**(L - cut)
-    m = rho0.matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    m = full_matrix(rho0).reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     p = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)**2
     p = p[p > 1e-24]
     assert rows[0]["S_OP"] == dense_ose(rho0, cut) == float(-np.sum(p * np.log(p)))
@@ -880,7 +876,7 @@ def test_sweep_zero_ose_is_the_full_target_svd(fam, N, L, cut):
 def test_block_ose_matches_full_svd_on_stationary_states(fam, N, L, LA):
     st = stationary_state(CommutantSpec(fam, N, L, LA))
     dA, dB = N**LA, N**(L - LA)
-    m = st.matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    m = full_matrix(st).reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     p = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)**2
     p = p[p > 1e-24]
     assert abs(dense_ose(st, LA) - float(-np.sum(p * np.log(p)))) <= 1e-13
@@ -890,12 +886,21 @@ def test_block_ose_matches_full_svd_on_stationary_states(fam, N, L, LA):
 def test_validate_finds_a_negative_eigenvalue():
     st = stationary_state(CommutantSpec(Family.SUN, 3, 6, 3))
     st.validate()
-    i, j = np.flatnonzero(np.diagonal(st.matrix))[:2]
-    bad = st.matrix.copy()
+    i, j = np.flatnonzero(np.diagonal(full_matrix(st)))[:2]
+    bad = full_matrix(st).copy()
     bad[i, j] += 0.5  # a Hermitian, trace-preserving 2 x 2 bump: eigenvalues -0.5, +0.5
     bad[j, i] += 0.5
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DenseState(bad, st.site_dims).validate()
+
+
+@pytest.mark.parametrize("block, message", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    (np.eye(2), "trace is 2.0, not 1"),
+])
+def test_validate_refuses_a_non_state(block, message):
+    with pytest.raises(ValueError, match=message):
+        DenseState(block, [2]).validate()
 
 
 @pytest.mark.parametrize("fam, N, L, cut", [(Family.TL, 3, 4, 2), (Family.SUN, 2, 6, 2)])
@@ -1032,11 +1037,11 @@ def test_kraus_sets_and_seeds_are_the_per_family_constructions(fam, N):
         s = np.flatnonzero(psi)
         assert np.array_equal(st.states, s)
         assert st.block.tobytes() == np.outer(psi[s], psi[s]).tobytes()
-        assert np.array_equal(st.matrix, np.outer(psi, psi))
+        assert np.array_equal(full_matrix(st), np.outer(psi, psi))
         if fam in (Family.U1, Family.PF):
             lazy = KrausSet(N, L, [LocalChannel(sites, ops) for sites, ops in want])
-            new = channel_fixed_point(build_kraus(fam, N, L), st).matrix
-            assert np.max(np.abs(new - channel_fixed_point(lazy, st).matrix)) <= 1e-12
+            new = full_matrix(channel_fixed_point(build_kraus(fam, N, L), st))
+            assert np.max(np.abs(new - full_matrix(channel_fixed_point(lazy, st)))) <= 1e-12
 
 
 @pytest.mark.parametrize("fam, N, ell", [

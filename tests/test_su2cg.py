@@ -21,12 +21,12 @@ from statent.su2cg import (
     SqrtRational,
     WeightError,
     cg_coefficient,
-    cg_singlet,
     crossing_point,
-    exact_sum,
     haar_average_negativity,
     negativity_fixed_lambda,
 )
+
+from conftest import cg_singlet, exact_sum
 
 
 def test_singlet_cg_half_spin():
