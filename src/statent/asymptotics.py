@@ -1,9 +1,9 @@
 """Asymptotic scaling laws and their least-squares fit.
 
-The closed-form coefficients of the large-L laws (per family and quantity)
-live here, together with the least-squares fit that compares exact scans
-against them.  SU(N) coefficients are only known as brackets and are exposed
-as brackets, never as point estimates.
+The large-L laws live in one table, LAWS, keyed by the family's IRREPS
+entry (commutants.irreps_of), together with the least-squares fit that
+compares exact scans against them.  SU(N) coefficients are only known as
+brackets and are exposed as brackets, never as point estimates.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutants import Family
+from .commutants import (
+    BallotIrreps, Family, Inadmissible, PFIrreps, SUNIrreps, U1Irreps, irreps_of,
+)
 from .exactnum import DomainError, tl_q
 
 SQRT_8_OVER_PI = math.sqrt(8.0 / math.pi)
 
 
-class Unsupported(ValueError):
+class Unsupported(Inadmissible):
     pass
 
 
@@ -43,7 +45,6 @@ class ScalingLaw:
     offset: float | None = None
     kind: str = "asymptote"  # asymptote | upper_bound | lower_bound
     coefficient_range: tuple[float, float] | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -92,76 +93,63 @@ def tl_sqrt_coefficient(N: int) -> float:
     return SQRT_8_OVER_PI * math.log(tl_q(N))
 
 
+def _separable(sop: ScalingLaw):
+    """The laws of an entry with every d = 1 (U(1), PF): E_N = R_3 = 0 at every L."""
+    zero = ScalingLaw("const", 0.0, 0.0)
+    return lambda N, n: {"en": zero, "r3": zero, "sop": sop}
+
+
+def _ballot_laws(N: int, n: float | None) -> dict[str, ScalingLaw]:
+    """SU(2) = TL(2) at N = 2, TL(N) above; rtilde at index n."""
+    if N == 2:
+        return {"en": ScalingLaw("log", 0.5, math.log(math.sqrt(2.0 / math.pi))),
+                "r3": ScalingLaw("log", 1.0, -2.0 * math.log(2.0)),
+                "sop": ScalingLaw("log", 1.5, None)}
+    laws = {"en": ScalingLaw("linear", tl_linear_coefficient(N, 1.0), None, kind="lower_bound"),
+            "r3": ScalingLaw("log", 1.5, None, kind="upper_bound"),
+            "sop": ScalingLaw("sqrt", tl_sqrt_coefficient(N), None)}
+    if n is not None:
+        if n == 2:
+            raise Unsupported("TL rtilde law undefined at n = 2")
+        laws["rtilde"] = (
+            ScalingLaw("linear", tl_linear_coefficient(N, n), None, kind="lower_bound") if n < 2
+            else ScalingLaw("log", 1.5 / (n - 2.0), None, kind="upper_bound"))
+    return laws
+
+
+def _sun_laws(N: int, n: float | None) -> dict[str, ScalingLaw]:
+    """SU(N >= 3): the slopes are brackets, and the data converge to the lower edge."""
+    a, b = N * (N - 1) / 2.0, (N * N - 1) / 2.0
+    return {"en": ScalingLaw("log", 2 * a, None, kind="upper_bound"),
+            "r3": ScalingLaw("log", a, None, coefficient_range=(a, b)),
+            "sop": ScalingLaw("log", b, None, coefficient_range=(b, 2 * b))}
+
+
+# IRREPS entry type -> (N, rtilde index n) -> {quantity: law}
+LAWS = {
+    U1Irreps: _separable(ScalingLaw("log", 0.5, 0.5 + math.log(math.sqrt(2 * math.pi) / 4.0))),
+    PFIrreps: _separable(ScalingLaw("sqrt", None, None)),  # no closed-form constant
+    BallotIrreps: _ballot_laws,
+    SUNIrreps: _sun_laws,
+}
+
+
 def predicted_law(family: Family, N: int, quantity: str, n: float | None = None) -> ScalingLaw:
     """The large-L law for (family, quantity), quantity in en|r3|sop|rtilde.
 
     rtilde needs the index n.  Everything is in nats of the half-chain value
-    as a function of total length L.  TL(2) is SU(2) at q = 1 and reads its laws.
+    as a function of total length L.
     """
     q = quantity.lower()
-    if family == Family.U1:
-        if q in ("en", "r3"):
-            return ScalingLaw("const", 0.0, 0.0)
-        if q == "sop":
-            return ScalingLaw("log", 0.5, 0.5 + math.log(math.sqrt(2 * math.pi) / 4.0))
-    elif family in (Family.SUN, Family.TL) and N == 2:
-        if q == "en":
-            return ScalingLaw("log", 0.5, math.log(math.sqrt(2.0 / math.pi)))
-        if q == "r3":
-            return ScalingLaw("log", 1.0, -2.0 * math.log(2.0))
-        if q == "sop":
-            return ScalingLaw("log", 1.5, None)
-    elif family == Family.SUN:
-        if q == "en":
-            return ScalingLaw("log", float(N * (N - 1)), None, kind="upper_bound")
-        if q == "r3":
-            return ScalingLaw(
-                "log",
-                N * (N - 1) / 2.0,
-                None,
-                coefficient_range=(N * (N - 1) / 2.0, (N * N - 1) / 2.0),
-                note="bracketed only; finite-size slope converges to the lower edge",
-            )
-        if q == "sop":
-            return ScalingLaw(
-                "log",
-                (N * N - 1) / 2.0,
-                None,
-                coefficient_range=((N * N - 1) / 2.0, float(N * N - 1)),
-                note="bracketed only",
-            )
-    elif family == Family.PF:
-        if q in ("en", "r3"):
-            return ScalingLaw("const", 0.0, 0.0)
-        if q == "sop":
-            return ScalingLaw(
-                "sqrt", None, None,
-                note="sqrt(L) growth; the constant is not given in closed form",
-            )
-    elif family == Family.TL:
-        if q == "en":
-            return ScalingLaw("linear", tl_linear_coefficient(N, 1.0), None, kind="lower_bound")
-        if q == "r3":
-            return ScalingLaw("log", 1.5, None, kind="upper_bound")
-        if q == "sop":
-            return ScalingLaw("sqrt", tl_sqrt_coefficient(N), None)
-        if q == "rtilde":
-            if n is None:
-                raise Unsupported("rtilde law needs the index n")
-            if n < 2:
-                return ScalingLaw("linear", tl_linear_coefficient(N, n), None, kind="lower_bound")
-            if n == 2:
-                raise Unsupported("TL rtilde law undefined at n = 2")
-            return ScalingLaw("log", 1.5 / (n - 2.0), None, kind="upper_bound")
-    raise Unsupported(f"no law for family={family.value}, N={N}, quantity={quantity}")
+    if q == "rtilde" and n is None:
+        raise Unsupported("rtilde law needs the index n")
+    laws = LAWS[type(irreps_of(family, N))](N, n if q == "rtilde" else None)
+    if q not in laws:
+        raise Unsupported(f"no law for family={family.value}, N={N}, quantity={quantity}")
+    return laws[q]
 
 
-_BASES = {
-    "const": lambda x: np.zeros_like(x),
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "linear": lambda x: x,
-}
+_BASES = {"log": np.log, "sqrt": np.sqrt, "linear": lambda x: x}
 
 
 def fit_scaling(points, form: str) -> FitResult:
@@ -183,7 +171,6 @@ def fit_scaling(points, form: str) -> FitResult:
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    slope = 0.0 if form == "const" else float(coef[0])
-    return FitResult(slope=slope, intercept=float(coef[1]), residual=resid,
+    return FitResult(slope=float(coef[0]), intercept=float(coef[1]), residual=resid,
                      window=(float(L[0]), float(L[-1])))
 

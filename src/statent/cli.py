@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, oracle
-from .commutants import CommutantSpec, Family, Inadmissible, TooManySectors
-from .entanglement import (
-    EntanglementReport, NAtTwo, compute_report, sun_renyi3_half_chain,
-)
+from .commutants import CommutantSpec, Family, Inadmissible, SUNIrreps, TooManySectors
+from .entanglement import EntanglementReport, compute_report, sun_renyi3_half_chain
 from .su2cg import (
     HaarEnsembleSpec,
     MultipleCrossings,
@@ -43,10 +41,6 @@ EXIT_RESOURCE = 4
 LN2 = math.log(2.0)
 Backend = typing.Literal["exact", "log", "auto"]
 Format = typing.Literal["csv", "json"]
-
-
-class EmptyScan(ValueError):
-    pass
 
 
 @dataclass
@@ -224,7 +218,6 @@ def cmd_compute(cfg: RunConfig) -> int:
     }
     if cfg.timing:
         doc["wall_time_s"] = round(wall, 3)
-    print(f"computed in {wall:.3f} s", file=sys.stderr)
     if cfg.fmt == "csv":
         rows = [
             [k, _fmt(v) if isinstance(v, float) else v]
@@ -233,6 +226,7 @@ def cmd_compute(cfg: RunConfig) -> int:
         _emit(cfg, _csv_text(["key", "value"], rows))
     else:
         _emit(cfg, json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n")
+    print(f"computed in {wall:.3f} s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -275,22 +269,29 @@ def _L_grid(cfg: RunConfig) -> list[int]:
     return out
 
 
+def _admissible_specs(cfg: RunConfig, grid: list[int]) -> list[CommutantSpec]:
+    """The specs of the grid's lengths, silently dropping those the formulas do not cover."""
+    specs = []
+    for L in grid:
+        try:
+            spec = make_spec(cfg, L)
+        except Inadmissible:
+            continue
+        specs.append(spec)
+    return specs
+
+
 def cmd_scan(cfg: RunConfig) -> int:
     qs = _parse_quantities(cfg)
-    specs = []
-    for L in _L_grid(cfg):
-        try:
-            specs.append(make_spec(cfg, L))
-        except Inadmissible:
-            continue  # silently drop grid points the formulas do not cover
+    specs = _admissible_specs(cfg, _L_grid(cfg))
     if not specs:
-        raise EmptyScan("no admissible L in the scan range")
+        raise Inadmissible("no admissible L in the scan range")
     r34_only = bool(qs) and {q.label for q in qs} <= {"r3", "r4"}
 
     def one(spec: CommutantSpec) -> list[tuple[int, str, float]]:
         # SU(N>2) R3/R4-only scans at half chain skip sector enumeration
         # entirely: the convolution evaluator is exact and O((NL)^2)
-        if (r34_only and spec.family == Family.SUN and spec.N > 2
+        if (r34_only and isinstance(spec.irreps, SUNIrreps)
                 and spec.L_A == spec.L // 2 and spec.L > 64):
             val = sun_renyi3_half_chain(spec.N, spec.L)
             return [(spec.L, q.label, val) for q in qs]
@@ -405,15 +406,13 @@ def cmd_asymptote(cfg: RunConfig) -> int:
 
     grid = _L_grid(cfg) if (cfg.L_min is not None or cfg.L_list) else \
         [2**k for k in range(6, 13)]
-    reports = []
-    for L in grid:
-        try:
-            spec = make_spec(cfg, L)
-        except Inadmissible:
-            continue
-        reports.append(_report(spec, qs, cfg.backend))
-    if len(reports) < 4:
-        raise EmptyScan("fewer than 4 admissible scan points")
+    specs = _admissible_specs(cfg, grid)
+    Ls = [spec.L for spec in specs]
+    if repeated := sorted({L for L in Ls if Ls.count(L) > 1}):
+        raise Inadmissible(f"repeated L={repeated[0]}: asymptote fits need distinct lengths")
+    if len(specs) < 4:
+        raise Inadmissible("fewer than 4 admissible scan points")
+    reports = [_report(spec, qs, cfg.backend) for spec in specs]
     rows = []
     for q, law in zip(qs, laws):
         pts = [(rep.spec.L, q.value(rep)) for rep in reports]
@@ -561,7 +560,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(argv)
         return SUBCOMMANDS[cfg.subcommand][0](cfg)
-    except (Inadmissible, EmptyScan, NAtTwo, asymptotics.Unsupported) as exc:
+    except Inadmissible as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (oracle.TooLarge, TooManySectors) as exc:

@@ -49,7 +49,7 @@ class Family(str, Enum):
 
 
 class Inadmissible(ValueError):
-    """The (family, N, L, L_A) combination is not covered by the closed forms."""
+    """A request the closed forms do not cover; the CLI exits 2 on it."""
 
 
 class ParityError(ValueError):
@@ -89,8 +89,7 @@ class CommutantSpec:
 
     @property
     def irreps(self) -> "Irreps":
-        """This family's table entry; SU(2) = TL(2) reads the ballot (TL) entry."""
-        return IRREPS[Family.TL if (self.family, self.N) == (Family.SUN, 2) else self.family]
+        return irreps_of(self.family, self.N)
 
 
 @dataclass(frozen=True)
@@ -488,6 +487,12 @@ class SUNIrreps(Irreps):
 
 IRREPS: dict[Family, Irreps] = {Family.U1: U1Irreps(), Family.TL: BallotIrreps(),
                                 Family.PF: PFIrreps(), Family.SUN: SUNIrreps()}
+
+
+def irreps_of(family: Family, N: int) -> Irreps:
+    """The family's table entry at local dimension N; SU(2) = TL(2) reads the
+    ballot (TL) entry at q = 1."""
+    return IRREPS[Family.TL if (family, N) == (Family.SUN, 2) else family]
 
 
 # ---------------------------------------------------------------------------

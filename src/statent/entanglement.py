@@ -15,13 +15,13 @@ Both backends evaluate one table type, LogSectors: the log backend builds it
 as numpy arrays (chains up to L ~ 10^6), the exact backend from its exact
 rows, which the table keeps.  One evaluator computes log M(k); integer k
 over exact rows is summed exactly (integers for k >= 0, ratios merged
-pairwise into one Fraction for k < 0) with one final float log, and exact
-rows that all have d = 1 (the Abelian families, M = 1) read exactly 0.0 at
-every k.  On the log backend U(1) and the ballot families (SU(2), TL) sum
-each summand -- p for D_0 and S_OP, p d^k for each moment -- over its own
-window of labels, outside which every term is an exact zero of the sum
-(commutants.UNDERFLOW_MARGIN; each summand has a single peak, which is why
-the window is complete), so a quantity never depends on which others a
+pairwise into one Fraction for k < 0) with one final float log, and a
+table whose every d is 1 (U(1), PF: M = 1) reads exactly 0.0 at every k
+on either backend.  On the log backend U(1) and the ballot families (SU(2),
+TL) sum each summand -- p for D_0 and S_OP, p d^k for each moment -- over
+its own window of labels, outside which every term is an exact zero of the
+sum (commutants.UNDERFLOW_MARGIN; each summand has a single peak, which is
+why the window is complete), so a quantity never depends on which others a
 report asks for.  PF and SU(N >= 3) sum over every label.
 """
 
@@ -36,9 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutants import (
-    CommutantSpec, IrrepRecord, LogSectors, TooManySectors, commutant_dimension,
-    enumerate_sectors, log_factorials, max_log_degeneracy, sector_log_arrays, _lse,
-    _superfactorial,
+    CommutantSpec, Inadmissible, IrrepRecord, LogSectors, TooManySectors,
+    commutant_dimension, enumerate_sectors, log_factorials, max_log_degeneracy,
+    sector_log_arrays, _lse, _superfactorial,
 )
 from .exactnum import LogReal, exact_log, sum_ratio_terms
 
@@ -52,7 +52,7 @@ class EmptySectorList(ValueError):
     pass
 
 
-class NAtTwo(ValueError):
+class NAtTwo(Inadmissible):
     """The generalized Renyi negativity is undefined at n = 2."""
 
 
@@ -75,16 +75,16 @@ def _exact_table(sectors: Sequence[IrrepRecord], D0: int) -> LogSectors:
 def _moments(ls: LogSectors) -> Ratio:
     """(k, c) -> log M(k) / c, log M(k) memoized on float(k) (R_3, Rt_4 share k = -2).
 
-    Exact rows that all have d = 1 give M(k) = 1, exactly 0.0, at every real
-    k.  Otherwise integer k over exact rows is an exact sum while its terms
-    d^|k| stay within EXACT_MOMENT_BITS bits (|k| log2(max d) at most that);
-    every other k is one log-sum-exp over the table of p d^k's window
-    (LogSectors.at).  The backends differ in one rule, the sign of a zero
+    A table whose every d is 1 gives M(k) = 1, exactly 0.0, at every real k,
+    with no window search.  Otherwise integer k over exact rows is an exact
+    sum while its terms d^|k| stay within EXACT_MOMENT_BITS bits (|k|
+    log2(max d) at most that); every other k is one log-sum-exp over the
+    table of p d^k's window (LogSectors.at).  The backends differ in one rule, the sign of a zero
     quotient: over exact rows a zero log M(k) reads +0.0 at every order c,
     while the log backend keeps the plain quotient, -0.0 for c < 0.
     """
     exact = ls.rows is not None
-    unit_d = exact and not ls.log_d.any()
+    unit_d = not ls.log_d.any()
     log_max_d = float(np.max(ls.log_d))
 
     @functools.cache

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statent.asymptotics import (
+    LAWS,
     FitResult,
     ScalingLaw,
     TooFewPoints,
@@ -13,7 +14,7 @@ from statent.asymptotics import (
     tl_linear_coefficient,
     tl_sqrt_coefficient,
 )
-from statent.commutants import CommutantSpec, Family
+from statent.commutants import IRREPS, CommutantSpec, Family
 from statent.entanglement import compute_report
 from statent.exactnum import DomainError, tl_q
 
@@ -35,10 +36,32 @@ def test_predicted_law_examples():
     assert law.kind == "upper_bound" and law.coefficient == pytest.approx(0.75)
     with pytest.raises(Unsupported):
         predicted_law(Family.U1, 2, "rtilde")
-    for q in ("en", "r3", "sop"):  # TL(2) is SU(2) at q = 1
-        assert predicted_law(Family.TL, 2, q) == predicted_law(Family.SUN, 2, q)
+    cases = [(q, None) for q in ("en", "r3", "sop")]
+    cases += [("rtilde", n) for n in (None, 0.5, 1.5, 2, 3)]
+    for q, n in cases:  # TL(2) is SU(2) at q = 1: the same laws and the same refusals
+        assert _law_or_refusal(Family.TL, 2, q, n) == _law_or_refusal(Family.SUN, 2, q, n)
     with pytest.raises(Unsupported, match="family=tl"):
         predicted_law(Family.TL, 2, "rtilde", n=0.5)
+    assert set(LAWS) == {type(irreps) for irreps in IRREPS.values()}
+
+
+def _law_or_refusal(family, N, q, n):
+    try:
+        return predicted_law(family, N, q, n=n)
+    except Unsupported:
+        return Unsupported
+
+
+@pytest.mark.parametrize("family, N", [
+    (Family.U1, 2), *((Family.SUN, N) for N in range(2, 6)),
+    *((Family.TL, N) for N in range(2, 6)), *((Family.PF, N) for N in range(2, 5)),
+])
+def test_every_irreps_entry_states_the_default_laws(family, N):
+    # asymptote's default quantities have a law at every N each entry admits
+    for q in ("en", "r3", "sop"):
+        law = predicted_law(family, N, q)
+        assert law.form in ("const", "log", "sqrt", "linear")
+        assert law.coefficient is None or math.isfinite(law.coefficient)
 
 
 def test_tl_linear_coefficient_values():

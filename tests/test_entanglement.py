@@ -219,6 +219,17 @@ def test_zero_quotient_sign_per_backend():
     assert rep.R[3] == 0.0 and math.copysign(1.0, rep.R[3]) == -1.0
 
 
+def test_unit_d_log_report_searches_one_window(monkeypatch):
+    # with every d = 1 each moment is 1 exactly, so a U(1) log report searches the
+    # weight's window alone, not one more per moment order (7 searches in all)
+    calls = []
+    window = com._window
+    monkeypatch.setattr(com, "_window", lambda spec, k: calls.append(k) or window(spec, k))
+    rep = compute_report(CommutantSpec(Family.U1, 2, 10**6, 5 * 10**5), backend="log")
+    assert len(calls) == 1
+    assert rep.E_N == 0.0 and not any([*rep.R.values(), *rep.R_tilde.values()])
+
+
 def test_sun_r3_convolution_matches_enumeration():
     for N, L in [(3, 12), (3, 30), (4, 16), (4, 32), (5, 20)]:
         spec, secs, D0 = sectors_of(Family.SUN, N, L)
