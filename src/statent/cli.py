@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, oracle
-from .commutants import CommutantSpec, Family, Inadmissible, SUNIrreps, TooManySectors
+from .commutants import (CommutantSpec, Family, Inadmissible, SUNIrreps, TooManySectors,
+                         check_local_dimension)
 from .entanglement import EntanglementReport, compute_report, sun_renyi3_half_chain
 from .su2cg import (
     HaarEnsembleSpec,
@@ -270,7 +271,9 @@ def _L_grid(cfg: RunConfig) -> list[int]:
 
 
 def _admissible_specs(cfg: RunConfig, grid: list[int]) -> list[CommutantSpec]:
-    """The specs of the grid's lengths, silently dropping those the formulas do not cover."""
+    """The specs of the grid's lengths, silently dropping those the formulas do not cover;
+    a family or N refused at every length is refused first, as compute refuses it."""
+    check_local_dimension(resolve_family(cfg), cfg.N)
     specs = []
     for L in grid:
         try:

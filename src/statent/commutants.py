@@ -124,15 +124,21 @@ def check_admissible(spec: CommutantSpec) -> None:
     N, L, L_A, L_B = spec.N, spec.L, spec.L_A, spec.L_B
     if L < 2 or L_A < 1 or L_B < 1:
         raise Inadmissible(f"need L >= 2 and a proper cut, got L={L}, L_A={L_A}")
-    if N < 2:
-        raise Inadmissible(f"need local dimension N >= 2, got N={N}")
+    check_local_dimension(spec.family, N)
     irr, name = spec.irreps, f"{spec.family.value.upper()}({N})"
-    if irr.only_N not in (None, N):
-        raise Inadmissible(f"{name}: this family is defined at N = {irr.only_N} only")
     step, half_step = irr.steps(N)
     if L % step or L_A % half_step or L_B % half_step:
         raise Inadmissible(f"{name} singlet pairing needs L = 0 mod {step} and "
                            f"L_A, L_B = 0 mod {half_step}; got L={L}, L_A={L_A}, L_B={L_B}")
+
+
+def check_local_dimension(family: Family, N: int) -> None:
+    """The rules of check_admissible that hold at every L: N >= 2 and the entry's only_N."""
+    if N < 2:
+        raise Inadmissible(f"need local dimension N >= 2, got N={N}")
+    if (only_N := irreps_of(family, N).only_N) not in (None, N):
+        raise Inadmissible(f"{family.value.upper()}({N}): this family is defined "
+                           f"at N = {only_N} only")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,10 @@ class Irreps:
     table of at least ell + N entries, or one math.lgamma per index).
     Defaults: pc = d = 1.
 
+    The commutant bounds on ell sites, log dim C(ell) = log sum pc d^2 and
+    log max d over every label on ell sites, are each entry's closed form;
+    the default walks every label (labels, then log_pc_d).
+
     The cut pairing covers L = 0 mod step and L_A, L_B = 0 mod half_step,
     (step, half_step) = steps(N), at every N >= 2 unless only_N is set.
     """
@@ -313,6 +323,13 @@ class Irreps:
     def log_pc_d(self, N: int, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.zeros(len(lab))
         return z, z
+
+    def log_dim_commutant(self, N: int, ell: int) -> float:
+        log_pc, log_d = self.log_pc_d(N, self.labels(N, ell))
+        return _lse(log_pc + 2 * log_d)
+
+    def log_max_d(self, N: int, ell: int) -> float:
+        return float(np.max(self.log_pc_d(N, self.labels(N, ell))[1]))
 
 
 class OneLabelIrreps(Irreps):
@@ -353,6 +370,12 @@ class U1Irreps(OneLabelIrreps):
     def name(self, ell: int, k: int) -> Fraction:
         return Fraction(ell, 2) - k
 
+    def log_dim_commutant(self, N: int, ell: int) -> float:
+        return math.log(ell + 1)  # ell + 1 labels, each pc = d = 1
+
+    def log_max_d(self, N: int, ell: int) -> float:
+        return 0.0
+
     def D(self, N: int, ell: int, k: int) -> int:
         return binomial(ell, k)
 
@@ -385,6 +408,25 @@ class BallotIrreps(OneLabelIrreps):
             n * math.log(q) + np.log1p(-q ** (-2.0 * n)) - math.log(q - 1.0 / q))
         return np.zeros(len(lam)), log_d
 
+    def log_dim_commutant(self, N: int, ell: int) -> float:
+        """log sum_{lam <= m} [2 lam + 1]_q^2, m = ell // 2, in closed form.
+
+        At q = 1 the sum is (m + 1)(2m + 1)(2m + 3)/3.  Above, (q - 1/q)^2 [n]_q^2 =
+        q^2n - 2 + q^-2n summed over n = 1, 3, .., 2m + 1 is two geometric series
+        and -2(m + 1); the q^2n one, q^(4m+2) (1 - q^-4(m+1)) / (1 - q^-4), is
+        taken in logs (no q^n formed) and the rest is added to it through log1p.
+        """
+        m, q = ell // 2, tl_q(N)
+        if q == 1.0:
+            return math.log((m + 1) * (2 * m + 1) * (2 * m + 3) // 3)
+        tail = q ** (-4.0 * (m + 1))
+        top = (4 * m + 2) * math.log(q) + math.log1p(-tail) - math.log1p(-q ** -4.0)
+        rest = (1.0 - tail) / (q * q - q ** -2.0) - 2.0 * (m + 1)
+        return top + math.log1p(rest * math.exp(-top)) - 2.0 * math.log(q - 1.0 / q)
+
+    def log_max_d(self, N: int, ell: int) -> float:
+        return float(self.log_pc_d(N, np.array([ell // 2]))[1][0])  # d grows with lam
+
     def D(self, N: int, ell: int, lam: int) -> int:
         return su2_sector_dim(ell, lam)
 
@@ -410,6 +452,17 @@ class PFIrreps(Irreps):
     def log_pc_d(self, N: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_pc = np.where(M == 0, 0.0, math.log(N) + np.maximum(M - 1, 0) * math.log(N - 1))
         return log_pc, np.zeros_like(log_pc)
+
+    def log_dim_commutant(self, N: int, ell: int) -> float:
+        """log of 1 + sum over M = 2, 4, .., 2m of N (N-1)^(M-1) = ((N-1)^(2m+1) - 1)/(N - 2),
+        m = ell // 2 (2m + 1 at N = 2)."""
+        k = 2 * (ell // 2) + 1
+        if N == 2:
+            return math.log(k)
+        return k * math.log(N - 1) - math.log(N - 2) + math.log1p(-(N - 1.0) ** -k)
+
+    def log_max_d(self, N: int, ell: int) -> float:
+        return 0.0
 
     def D(self, N: int, ell: int, M: int) -> int:
         return pf_sector_dimension(N, ell, M)
@@ -523,21 +576,14 @@ def singlet_dimension(spec: CommutantSpec) -> int:
     return sum(r.weight for r in iter_sectors(spec))
 
 
-def _log_pc_d_on_min_half(spec: CommutantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(log pc, log d) over ALL irreps on the smaller half, paired or not."""
-    irr = spec.irreps
-    return irr.log_pc_d(spec.N, irr.labels(spec.N, spec.L_min))
-
-
 def commutant_dimension(spec: CommutantSpec) -> LogReal:
     """dim C(L_min) = sum over every irrep on the smaller half of pc * d^2."""
-    log_pc, log_d = _log_pc_d_on_min_half(spec)
-    return LogReal(_lse(log_pc + 2 * log_d))
+    return LogReal(spec.irreps.log_dim_commutant(spec.N, spec.L_min))
 
 
 def max_log_degeneracy(spec: CommutantSpec) -> float:
     """log of the largest irrep degeneracy of the commutant on the smaller half."""
-    return float(np.max(_log_pc_d_on_min_half(spec)[1]))
+    return spec.irreps.log_max_d(spec.N, spec.L_min)
 
 
 @dataclass

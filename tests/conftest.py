@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 
-from statent.commutants import Family
+from statent.commutants import Family, Irreps, _lse
 from statent.entanglement import sun_renyi3_half_chain
 from statent.oracle import DenseState, TooLarge, _eigvalsh, _svdvals
 from statent.su2cg import SqrtRational, _as_two_j
@@ -23,6 +23,13 @@ def spin_half_total_spin_squared(L):
             tot += np.kron(np.kron(np.eye(2**j), a), np.eye(2 ** (L - j - 1)))
         out += tot @ tot
     return out
+
+
+def walk_bounds(irr: Irreps, N: int, ell: int) -> tuple[float, float]:
+    """(log dim C, log max d) on ell sites by a walk over every label: the log of
+    sum pc d^2 and the largest log d, from the entry's labels and log_pc_d."""
+    log_pc, log_d = irr.log_pc_d(N, irr.labels(N, ell))
+    return _lse(log_pc + 2 * log_d), float(np.max(log_d))
 
 
 def full_matrix(state: DenseState) -> np.ndarray:

@@ -82,6 +82,18 @@ def test_bad_input_exit_2(args, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["--family", "bogus"], ["--family", "su2", "--N", "3"], ["--family", "u1", "--N", "3"],
+    ["--family", "sun", "--N", "1"],
+])
+def test_scan_refuses_family_and_N_as_compute_does(args, capsys):
+    # no length makes these admissible, so scan says why, not "no admissible L"
+    scan = run_cli(["scan", *args, "--L-list", "8,16"], capsys)
+    compute = run_cli(["compute", *args, "--L", "8"], capsys)
+    assert scan == compute
+    assert scan[0] == 2 and scan[1] == "" and scan[2].startswith("inadmissible")
+
+
+@pytest.mark.parametrize("args", [
     ["compute", "--family", "u1", "--L", "8"],
     ["scan", "--family", "su2", "--L-list", "8"],
 ])

@@ -15,9 +15,11 @@ from statent.commutants import (
     TooManySectors,
     commutant_dimension,
     enumerate_sectors,
+    irreps_of,
     iter_sectors,
     log_factorials,
     log_pf_sector_dims,
+    max_log_degeneracy,
     pf_pattern_count,
     pf_sector_dimension,
     sector_log_arrays,
@@ -30,7 +32,7 @@ from statent.commutants import (
 from statent.commutants import _lse
 from statent.exactnum import factorial
 
-from conftest import pf_pattern_census, spin_half_total_spin_squared
+from conftest import pf_pattern_census, spin_half_total_spin_squared, walk_bounds
 
 
 def test_su2_singlet_dimension_against_nullspace():
@@ -148,6 +150,37 @@ def test_pf_commutant_dimension_against_pattern_census():
     census = pf_pattern_census(3, 2)
     assert len(census) == 7
     assert commutant_dimension(CommutantSpec(Family.PF, 3, 4, 2)).to_float() == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("family, N", [
+    (Family.U1, 2), (Family.SUN, 2), *((Family.TL, N) for N in range(3, 8)),
+    *((Family.PF, N) for N in (2, 3, 4, 5, 9)),
+])
+def test_closed_form_bounds_match_the_walk(family, N):
+    irr = irreps_of(family, N)
+    for ell in [*range(1, 65), 512, 8192, 5 * 10**5]:
+        log_c, log_max_d = walk_bounds(irr, N, ell)
+        x = irr.log_dim_commutant(N, ell)
+        # abs: at ell = 1 the ballot and PF dim C is 1, and both read round-off about 0
+        assert x == pytest.approx(log_c, rel=1e-14, abs=1e-15), ell
+        assert irr.log_max_d(N, ell) == log_max_d, ell
+        if ell <= 40:
+            exact = sum(pc * d * d for pc, d in (irr.pc_d(N, lab)
+                                                 for lab in irr.labels(N, ell).tolist()))
+            # a log good to 1e-14 relative gives exp good to about x * 1e-14
+            assert math.exp(x) == pytest.approx(exact, rel=1e-14 * max(x, 1.0)), ell
+
+
+@pytest.mark.parametrize("spec", [
+    CommutantSpec(Family.U1, 2, 20, 3), CommutantSpec(Family.U1, 2, 20, 8),
+    CommutantSpec(Family.U1, 2, 20, 17), CommutantSpec(Family.U1, 2, 22, 11),
+    CommutantSpec(Family.SUN, 2, 20, 6), CommutantSpec(Family.TL, 3, 20, 16),
+    CommutantSpec(Family.PF, 3, 20, 14),
+])
+def test_bounds_read_the_smaller_half(spec):
+    log_c, log_max_d = walk_bounds(spec.irreps, spec.N, spec.L_min)
+    assert commutant_dimension(spec).log_value() == pytest.approx(log_c, rel=1e-14)
+    assert max_log_degeneracy(spec) == log_max_d
 
 
 def closed_form_singlet_dimension(spec: CommutantSpec) -> int:

@@ -439,14 +439,16 @@ def test_log_backend_reach_one_million():
     assert got["pf_S_OP"][0] <= got["pf_S_OP"][1]
 
 
-def _million_report_peak(family: Family, N: int) -> int:
-    """tracemalloc's peak over one L = 10^6 half-chain log report, in a fresh interpreter."""
+def _million_report_peak(family: Family, N: int,
+                         call: str = 'compute_report(spec, backend="log")') -> int:
+    """tracemalloc's peak over one L = 10^6 half-chain log report (or call), in a
+    fresh interpreter."""
     code = textwrap.dedent(f"""
         import tracemalloc
-        from statent import CommutantSpec, Family, compute_report
+        from statent import CommutantSpec, Family, compute_report, upper_bounds
         spec = CommutantSpec(Family("{family.value}"), {N}, 10**6, 5 * 10**5)
         tracemalloc.start()
-        compute_report(spec, backend="log")
+        {call}
         print(tracemalloc.get_traced_memory()[1])
     """)
     src = os.path.dirname(os.path.dirname(statent.__file__))
@@ -457,16 +459,25 @@ def _million_report_peak(family: Family, N: int) -> int:
 
 
 def test_u1_million_report_memory():
-    # the sums read a 19,311-label window, not all 500,001 sectors, so the peak is
-    # upper_bounds' walk over every label on the smaller half (11.9 MiB); a table
-    # over every sector would peak at 22.9
-    assert _million_report_peak(Family.U1, 2) <= 16 * 2**20
+    # the sums read a 19,311-label window, not all 500,001 sectors, and the bounds
+    # are closed forms, so the window tables set the peak (1.9 MiB); a table over
+    # every sector would peak at 22.9
+    assert _million_report_peak(Family.U1, 2) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("family, N", [(Family.SUN, 2), (Family.TL, 3)])
 def test_ballot_million_report_memory(family, N):
-    # each summand's window holds at most about 19k of 250,001 labels (7.9 and 9.8 MiB)
-    assert _million_report_peak(family, N) <= 16 * 2**20
+    # each summand's window holds at most about 19k of 250,001 labels, and those
+    # window tables set the peak (1.4 and 2.5 MiB)
+    assert _million_report_peak(family, N) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3),
+                                       (Family.PF, 3)])
+def test_million_bounds_walk_no_label(family, N):
+    # one closed form per entry: no array over the 250,001-500,001 labels of the
+    # smaller half (a walk over them peaks at 7.6-11.5 MiB)
+    assert _million_report_peak(family, N, "upper_bounds(spec)") <= 64 * 2**10
 
 
 @pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3)])
