@@ -334,7 +334,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         delta = abs(closed[q] - dense[q])
         good = delta < 1e-8
         ok &= good
-        rows.append([q, _fmt(closed[q] * s), _fmt(dense[q] * s), f"{delta:.3e}",
+        # + 0.0 turns a -0.0 (a dense R_n of exactly zero) into the closed form's 0
+        rows.append([q, _fmt(closed[q] * s + 0.0), _fmt(dense[q] * s + 0.0), f"{delta:.3e}",
                      "PASS" if good else "FAIL"])
     _emit(cfg, _csv_text(["quantity", "closed_form", "dense", "abs_delta", "status"], rows))
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

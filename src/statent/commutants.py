@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import LogReal, binomial, factorial, q_int_exact, tl_q
+from .exactnum import LogReal, binomial, exact_log, factorial, q_int_exact, tl_q
 
 
 class Family(str, Enum):
@@ -158,10 +158,7 @@ def su2_sector_dim(ell: int, lam: int) -> int:
 
 
 def _superfactorial(N: int) -> int:
-    out = 1
-    for k in range(1, N):
-        out *= factorial(k)
-    return out
+    return math.prod(map(factorial, range(1, N)))
 
 
 def sun_weyl_dim(N: int, lam: tuple[int, ...]) -> int:
@@ -297,10 +294,6 @@ class Irreps:
     table of at least ell + N entries, or one math.lgamma per index).
     Defaults: pc = d = 1.
 
-    The commutant bounds on ell sites, log dim C(ell) = log sum pc d^2 and
-    log max d over every label on ell sites, are each entry's closed form;
-    the default walks every label (labels, then log_pc_d).
-
     The cut pairing covers L = 0 mod step and L_A, L_B = 0 mod half_step,
     (step, half_step) = steps(N), at every N >= 2 unless only_N is set.
     """
@@ -323,13 +316,6 @@ class Irreps:
     def log_pc_d(self, N: int, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.zeros(len(lab))
         return z, z
-
-    def log_dim_commutant(self, N: int, ell: int) -> float:
-        log_pc, log_d = self.log_pc_d(N, self.labels(N, ell))
-        return _lse(log_pc + 2 * log_d)
-
-    def log_max_d(self, N: int, ell: int) -> float:
-        return float(np.max(self.log_pc_d(N, self.labels(N, ell))[1]))
 
 
 class OneLabelIrreps(Irreps):
@@ -523,6 +509,20 @@ class SUNIrreps(Irreps):
     def log_pc_d(self, N: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lv = self.log_vandermonde(lam)[1]
         return np.zeros_like(lv), lv - math.log(_superfactorial(N))
+
+    def log_dim_commutant(self, N: int, ell: int) -> float:
+        """sum_lam d_lam^2 = dim Sym^ell(End C^N) = C(ell + N^2 - 1, N^2 - 1) (Schur-Weyl)."""
+        return exact_log(binomial(ell + N * N - 1, N * N - 1))
+
+    def log_max_d(self, N: int, ell: int) -> float:
+        """The largest log d, over only the partitions of ell with an empty last row:
+        moving a box from row N to row 1 raises lam~_1 and lowers lam~_N by one, so
+        every factor lam~_i - lam~_j of d with i = 1 or j = N grows and no other
+        changes, and a partition with lam_N > 0 is never the maximum."""
+        if (est := self.estimate(N - 1, ell)) > SECTOR_ENUM_CAP:
+            raise TooManySectors(f"~{est} SU({N}) partitions of {ell} sites with lam_N = 0")
+        lam = np.pad(sun_partitions(ell, N - 1, ell), ((0, 0), (0, 1)))
+        return float(np.max(self.log_pc_d(N, lam)[1]))
 
     def D(self, N: int, ell: int, lam: list[int]) -> int:
         return sun_irrep_dims(N, ell, lam)[1]

@@ -247,6 +247,17 @@ def test_oracle_pass_and_cap(capsys):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("args", [["--family", "u1", "--L", "4"],
+                                  ["--family", "pf", "--N", "3", "--L", "4"]])
+def test_oracle_prints_no_signed_zero(args, capsys):
+    # the dense R_3 and R_4 of these stationary states are -0.0; both columns print 0
+    code, out, _ = run_cli(["oracle", *args], capsys)
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",")[1:3] for line in out.splitlines()[1:]}
+    assert rows["r3"] == rows["r4"] == ["0", "0"]
+    assert "-0" not in [v for pair in rows.values() for v in pair]
+
+
 def test_oracle_refuses_max_sweeps(capsys):
     # the oracle's state comes from the orbit closure; --max-sweeps bounds only dynamics
     code, out, _ = run_cli(["oracle", "--family", "su2", "--L", "4", "--max-sweeps", "1"], capsys)

@@ -30,7 +30,7 @@ from statent.commutants import (
     check_admissible,
 )
 from statent.commutants import _lse
-from statent.exactnum import factorial
+from statent.exactnum import binomial, factorial
 
 from conftest import pf_pattern_census, spin_half_total_spin_squared, walk_bounds
 
@@ -154,28 +154,35 @@ def test_pf_commutant_dimension_against_pattern_census():
 
 @pytest.mark.parametrize("family, N", [
     (Family.U1, 2), (Family.SUN, 2), *((Family.TL, N) for N in range(3, 8)),
-    *((Family.PF, N) for N in (2, 3, 4, 5, 9)),
+    *((Family.PF, N) for N in (2, 3, 4, 5, 9)), *((Family.SUN, N) for N in range(3, 9)),
 ])
 def test_closed_form_bounds_match_the_walk(family, N):
     irr = irreps_of(family, N)
-    for ell in [*range(1, 65), 512, 8192, 5 * 10**5]:
+    ells = [*range(1, 65), 512, 8192, 5 * 10**5]
+    if irr is IRREPS[Family.SUN]:  # the walk over every partition is capped far below 5 * 10^5
+        ells = [*range(81 if N <= 5 else 41), *{3: [2826], 4: [412]}.get(N, [])]
+    for ell in ells:
         log_c, log_max_d = walk_bounds(irr, N, ell)
         x = irr.log_dim_commutant(N, ell)
-        # abs: at ell = 1 the ballot and PF dim C is 1, and both read round-off about 0
-        assert x == pytest.approx(log_c, rel=1e-14, abs=1e-15), ell
+        # abs: at ell = 1 the ballot and PF dim C is 1, and both read round-off about 0;
+        # at ell = 0 SU(8)'s walk reads log vand - log sf(8) = -7.1e-15 for log 1
+        assert x == pytest.approx(log_c, rel=1e-14, abs=1e-15 if ell else 1e-14), ell
         assert irr.log_max_d(N, ell) == log_max_d, ell
         if ell <= 40:
             exact = sum(pc * d * d for pc, d in (irr.pc_d(N, lab)
                                                  for lab in irr.labels(N, ell).tolist()))
             # a log good to 1e-14 relative gives exp good to about x * 1e-14
             assert math.exp(x) == pytest.approx(exact, rel=1e-14 * max(x, 1.0)), ell
+            if irr is IRREPS[Family.SUN]:  # Schur-Weyl: dim Sym^ell(End C^N)
+                assert exact == binomial(ell + N * N - 1, N * N - 1), ell
 
 
 @pytest.mark.parametrize("spec", [
     CommutantSpec(Family.U1, 2, 20, 3), CommutantSpec(Family.U1, 2, 20, 8),
     CommutantSpec(Family.U1, 2, 20, 17), CommutantSpec(Family.U1, 2, 22, 11),
     CommutantSpec(Family.SUN, 2, 20, 6), CommutantSpec(Family.TL, 3, 20, 16),
-    CommutantSpec(Family.PF, 3, 20, 14),
+    CommutantSpec(Family.PF, 3, 20, 14), CommutantSpec(Family.SUN, 3, 24, 6),
+    CommutantSpec(Family.SUN, 3, 24, 18), CommutantSpec(Family.SUN, 4, 24, 8),
 ])
 def test_bounds_read_the_smaller_half(spec):
     log_c, log_max_d = walk_bounds(spec.irreps, spec.N, spec.L_min)

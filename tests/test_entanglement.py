@@ -15,6 +15,7 @@ from statent.commutants import (
     CommutantSpec,
     Family,
     IrrepRecord,
+    commutant_dimension,
     enumerate_sectors,
     singlet_dimension,
 )
@@ -33,6 +34,7 @@ from statent.entanglement import (
     sun_renyi3_half_chain,
     upper_bounds,
 )
+from statent.exactnum import binomial, exact_log
 
 
 def sectors_of(fam, N, L, LA=None):
@@ -440,13 +442,13 @@ def test_log_backend_reach_one_million():
 
 
 def _million_report_peak(family: Family, N: int,
-                         call: str = 'compute_report(spec, backend="log")') -> int:
-    """tracemalloc's peak over one L = 10^6 half-chain log report (or call), in a
-    fresh interpreter."""
+                         call: str = 'compute_report(spec, backend="log")', L: int = 10**6) -> int:
+    """tracemalloc's peak over one half-chain log report (or call) at L, by default
+    10^6, in a fresh interpreter."""
     code = textwrap.dedent(f"""
         import tracemalloc
         from statent import CommutantSpec, Family, compute_report, upper_bounds
-        spec = CommutantSpec(Family("{family.value}"), {N}, 10**6, 5 * 10**5)
+        spec = CommutantSpec(Family("{family.value}"), {N}, {L}, {L // 2})
         tracemalloc.start()
         {call}
         print(tracemalloc.get_traced_memory()[1])
@@ -478,6 +480,13 @@ def test_million_bounds_walk_no_label(family, N):
     # one closed form per entry: no array over the 250,001-500,001 labels of the
     # smaller half (a walk over them peaks at 7.6-11.5 MiB)
     assert _million_report_peak(family, N, "upper_bounds(spec)") <= 64 * 2**10
+
+
+@pytest.mark.parametrize("N, L, cap_mib", [(3, 5652, 1), (4, 824, 4)])
+def test_sun_bounds_walk_only_an_empty_last_row(N, L, cap_mib):
+    # dim C is one binomial and max d walks the partitions into N - 1 rows (0.13 and
+    # 1.4 MiB); a walk over every partition of the smaller half peaks at 66.2 and 54.1
+    assert _million_report_peak(Family.SUN, N, "upper_bounds(spec)", L) <= cap_mib * 2**20
 
 
 @pytest.mark.parametrize("family, N", [(Family.U1, 2), (Family.SUN, 2), (Family.TL, 3)])
@@ -518,7 +527,7 @@ def test_sun_report_refuses_too_many_partitions():
 
 
 def test_sun_bounds_refuse_too_many_partitions():
-    # every reader of the SU(N) partition table is capped, the bounds too; a
+    # every SU(N) partition walk is capped, max d's too, and dim C walks none; a
     # child interpreter with a timeout, since an uncapped walk never returns
     code = textwrap.dedent("""
         from statent.commutants import (CommutantSpec, Family, TooManySectors,
@@ -528,14 +537,19 @@ def test_sun_bounds_refuse_too_many_partitions():
         for fn in (upper_bounds, commutant_dimension, max_log_degeneracy):
             try:
                 fn(spec)
-            except TooManySectors:
-                print(fn.__name__)
+            except TooManySectors as exc:
+                print(fn.__name__, exc)
     """)
     src = os.path.dirname(os.path.dirname(statent.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["upper_bounds", "commutant_dimension", "max_log_degeneracy"]
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["upper_bounds", "max_log_degeneracy"]
+    # the refusal names the group and the partitions into N - 1 rows it would walk
+    assert f"~{com.IRREPS[Family.SUN].estimate(4, 5000)} SU(5) partitions" in lines[1]
+    spec = CommutantSpec(Family.SUN, 5, 10000, 5000)
+    assert commutant_dimension(spec).log_value() == exact_log(binomial(5024, 24))
 
 
 def test_large_orders_finish_on_the_exact_backend():

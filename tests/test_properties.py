@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from statent.commutants import CommutantSpec, Family, iter_sectors
 from statent.entanglement import compute_report
+from statent.exactnum import exact_log
 
 from test_commutants import closed_form_singlet_dimension
 
@@ -15,11 +16,12 @@ FAMILIES = (
      (Family.SUN, 3, 48, 3, 3), (Family.SUN, 4, 48, 4, 4)]
     + [(f, N, 64, 2, 2) for f in (Family.TL, Family.PF) for N in range(2, 6)]
 )
+SUN_FAMILIES = [(Family.SUN, N, 36, N, N) for N in range(3, 7)]
 
 
 @st.composite
-def specs(draw) -> CommutantSpec:
-    fam, N, L_max, L_step, cut_step = draw(st.sampled_from(FAMILIES))
+def specs(draw, families=FAMILIES) -> CommutantSpec:
+    fam, N, L_max, L_step, cut_step = draw(st.sampled_from(families))
     L = L_step * draw(st.integers(-(-2 * cut_step // L_step), L_max // L_step))
     return CommutantSpec(fam, N, L, cut_step * draw(st.integers(1, L // cut_step - 1)))
 
@@ -72,3 +74,16 @@ def test_exact_equals_log(spec):
     assert have.keys() == want.keys()
     for name, v in want.items():
         assert have[name] == pytest.approx(v, rel=1e-10, abs=1e-12), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs(SUN_FAMILIES))
+def test_sun_bounds_are_the_exact_sums(spec):
+    # the closed-form dim C and the empty-last-row max d against exact ints over
+    # every label on the smaller half
+    irr, N = spec.irreps, spec.N
+    pcd = [irr.pc_d(N, lab) for lab in irr.labels(N, spec.L_min).tolist()]
+    bounds = compute_report(spec).bounds
+    assert bounds.log_dim_c_min == pytest.approx(
+        exact_log(sum(pc * d * d for pc, d in pcd)), rel=1e-14)
+    assert bounds.log_max_d == pytest.approx(exact_log(max(d for _, d in pcd)), rel=1e-14)
